@@ -57,6 +57,14 @@ RunMetrics ParallelProtocolSim::run(const SimConfig& config, const ExecTimeModel
     ProtocolSim serial(config, model, streams);
     return serial.run();
   }
+  if (model.reloadParams().dl3_us > 0.0) {
+    // A shared-LLC term reads each footprint's age since its last touch on
+    // *any* processor, which couples the shards; parallelEligible() sees
+    // only the SimConfig, so the model is checked here.
+    out.fallback_reason = "shared LLC couples processors through any-processor ages";
+    ProtocolSim serial(config, model, streams);
+    return serial.run();
+  }
   if (config.flow.enabled) {
     // Each shard's flow table sees only its owned streams, which decomposes
     // exactly only when the serial run could not have evicted either — a

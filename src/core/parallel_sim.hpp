@@ -44,7 +44,10 @@ struct ParallelRunInfo {
 
 /// True when `config` is in the exactly-decomposable family described
 /// above. Ineligible configurations still honor parallel_procs — they just
-/// run serially, producing the same bits they always did.
+/// run serially, producing the same bits they always did. runParallel()
+/// additionally runs serially when the model has a shared-LLC term
+/// (ReloadParams::dl3_us > 0), which couples processors through
+/// any-processor ages.
 [[nodiscard]] bool parallelEligible(const SimConfig& config, const char** reason = nullptr);
 
 /// Runs the simulation on min(config.parallel_procs, num_procs) threads

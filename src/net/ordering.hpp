@@ -59,13 +59,12 @@ class OrderingChecker {
   [[nodiscard]] OrderingReport report() const AFF_EXCLUDES(mu_);
 
  private:
-  // Taken inside the engines' delivered-observer callback, i.e. while an
-  // engine stack mutex is held — the one real cross-class nesting in the
-  // tree, so the order is declared from both sides (the AFTER here is the
-  // redundant mirror of the engines' BEFORE; flipping it is the lint
-  // mutation demo in tests/lint_test.cpp).
-  mutable Mutex mu_{"OrderingChecker::mu_"}
-      AFF_ACQUIRED_AFTER(LockingEngine::stack_mu_, DispatchEngine::stack_mu_);
+  // Taken inside the engine's delivered-observer callback, i.e. while a
+  // shared engine stack's mutex is held — the one real cross-class nesting
+  // in the tree, so the order is declared from both sides (the AFTER here
+  // is the redundant mirror of the engine's BEFORE; flipping that one is
+  // the lint mutation demo in tests/lint_test.cpp).
+  mutable Mutex mu_{"OrderingChecker::mu_"} AFF_ACQUIRED_AFTER(Engine::stack_mu_);
   // last_[stream] = last seq + 1 (0 = stream unseen); dense small ids.
   std::vector<std::uint64_t> last_ AFF_GUARDED_BY(mu_);
   // faulted_[stream] = 1 once the stream's first offense is captured.

@@ -19,11 +19,8 @@ OverloadPolicy parseOverloadPolicy(const std::string& name) {
   return OverloadPolicy::kBlock;
 }
 
-template <typename Engine>
-ChaosReport runWith(EngineKind kind, const ChaosConfig& cfg) {
-  AFF_CHECK(cfg.workers >= 1);
-  AFF_CHECK(cfg.streams >= 1);
-
+/// Drives `engine` (constructed, not yet opened) through one scenario.
+ChaosReport drive(Engine& engine, EngineKind kind, const ChaosConfig& cfg) {
   ChaosReport rep;
   rep.kind = kind;
   rep.generated = cfg.frames;
@@ -42,7 +39,6 @@ ChaosReport runWith(EngineKind kind, const ChaosConfig& cfg) {
   if (adv_opts.collision_buckets == 0) adv_opts.collision_buckets = cfg.workers;
   const AdversaryPattern adversary(adv_opts);
 
-  Engine engine(cfg.workers, HostConfig{}, cfg.engine);
   engine.openPort(corpus.dstPort(), /*session_queue=*/4096);
   engine.start();
 
@@ -122,13 +118,23 @@ const char* engineKindName(EngineKind k) noexcept {
 }
 
 ChaosReport runChaos(EngineKind kind, const ChaosConfig& config) {
+  AFF_CHECK(config.workers >= 1);
+  AFF_CHECK(config.streams >= 1);
   switch (kind) {
-    case EngineKind::kLocking:
-      return runWith<LockingEngine>(kind, config);
-    case EngineKind::kIps:
-      return runWith<IpsEngine>(kind, config);
-    case EngineKind::kDispatch:
-      return runWith<DispatchEngine>(kind, config);
+    case EngineKind::kLocking: {
+      LockingEngine engine(config.workers, HostConfig{}, config.engine);
+      return drive(engine, kind, config);
+    }
+    case EngineKind::kIps: {
+      IpsEngine engine(config.workers, HostConfig{}, config.engine);
+      return drive(engine, kind, config);
+    }
+    case EngineKind::kDispatch: {
+      // kStreamHash: the placement the steal/NIC front-ends act against.
+      DispatchEngine engine(config.workers, DispatchPolicy::kStreamHash, HostConfig{},
+                            config.engine);
+      return drive(engine, kind, config);
+    }
   }
   AFF_CHECK(false && "unknown engine kind");
   return {};

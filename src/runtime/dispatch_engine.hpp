@@ -1,19 +1,20 @@
-// dispatch_engine.hpp — a real-thread engine with pluggable dispatch policy.
+// dispatch_engine.hpp — the shared-stack engine with per-worker queues and
+// a pluggable placement policy.
 //
-// The LockingEngine's shared queue gives no placement control; this engine
-// adds a software dispatcher (mirroring the paper's scheduling layer): the
-// submitting thread routes each frame to a worker per policy —
+// A LockingEngine's shared queue gives no placement control; this
+// configuration adds a software dispatcher (mirroring the paper's
+// scheduling layer): the submitting thread routes each frame to a worker
+// per DispatchPolicy —
 //
 //   kRoundRobin  — no affinity (the FCFS baseline),
 //   kMruWorker   — the most-recently-*dispatched-to* worker whose queue has
 //                  room (concentrates work to keep caches warm),
 //   kStreamHash  — stream -> worker (the Wired-Streams analogue).
 //
-// Workers share one ProtocolStack under a mutex (the Locking paradigm), so
-// the policies differ only in cache placement — on real multicore hardware
-// kStreamHash keeps each stream's session state in one core's cache. On the
-// CI host (1 CPU) the policies are functionally identical, which the tests
-// exploit to verify correctness invariants.
+// Workers share one ProtocolStack under Engine::stack_mu_ (the Locking
+// paradigm), so the policies differ only in cache placement — on real
+// multicore hardware kStreamHash keeps each stream's session state in one
+// core's cache.
 //
 // Two front-end extensions ride on top of the software policy:
 //
@@ -22,8 +23,8 @@
 //    overrides the software route: the NIC picked the queue before the
 //    scheduler ever saw the frame. kTransportFriendly defers every pin move
 //    until the old queue's in-flight prefix for the stream has drained, so
-//    the steal/failover repins that reorder under Flow Director stay
-//    in-order by construction (arXiv:1106.0445).
+//    the steal repins that reorder under Flow Director stay in-order by
+//    construction (arXiv:1106.0445).
 //  * EngineOptions::steal — affinity-aware work stealing: per-worker queues
 //    become MPMC, and an idle worker takes a bounded batch from the head of
 //    the longest peer queue (order preserved within the batch). Under Flow
@@ -32,126 +33,23 @@
 //    reordering pathology, reproduced by tests/ordering_test.cpp.
 #pragma once
 
-#include <atomic>
-
 #include "runtime/engine.hpp"
 
 namespace affinity {
 
-/// Worker-placement policy for DispatchEngine.
-enum class DispatchPolicy : std::uint8_t { kRoundRobin, kMruWorker, kStreamHash };
-
-const char* dispatchPolicyName(DispatchPolicy p) noexcept;
-
-/// Locking-paradigm engine with per-worker queues and a placement policy.
-class DispatchEngine {
+/// Shared stack, per-worker queues, software placement by `policy`.
+class DispatchEngine final : public Engine {
  public:
   DispatchEngine(unsigned workers, DispatchPolicy policy, HostConfig host,
                  std::size_t ring_capacity = 1024)
       : DispatchEngine(workers, policy, host, optionsWithCapacity(ring_capacity)) {}
   DispatchEngine(unsigned workers, DispatchPolicy policy, HostConfig host,
-                 const EngineOptions& options);
-  /// Chaos-harness shape (matches the other engines' ctors): kStreamHash,
-  /// the policy whose placement the steal/NIC front-ends act against.
-  DispatchEngine(unsigned workers, HostConfig host, const EngineOptions& options)
-      : DispatchEngine(workers, DispatchPolicy::kStreamHash, host, options) {}
-  ~DispatchEngine() { stop(); }
+                 const EngineOptions& options)
+      : Engine(workers, EngineShape{false, true, policy, "dispatch"}, host, options) {}
 
-  /// Opens a UDP port on the shared stack (call before start()).
-  void openPort(std::uint16_t port, std::size_t session_queue = 1024);
-
-  void start();
-
-  /// Routes the frame per the policy. When every candidate ring is full the
-  /// overload policy applies (kBlock waits with bounded backoff, limited by
-  /// the submit deadline when set). False once stopped or rejected —
-  /// stats() splits the causes (rejected_stopped vs rejected_queue_full).
-  bool submit(WorkItem item);
-
-  /// Closes intake, drains, joins (idempotent). Frames stranded by killed
-  /// workers are reconciled inline so conservation holds exactly at return.
-  void stop();
-
-  /// Injects a worker crash / stall (see WorkerPool). Call while running.
-  void injectWorkerKill(unsigned w) { pool_.injectKill(w); }
-  void injectWorkerStall(unsigned w, std::chrono::milliseconds d) { pool_.injectStall(w, d); }
-
-  /// Forces the NIC flow table to re-pin `stream` to `queue` (FlowDirector:
-  /// immediately; TransportFriendly: deferred until the old home drains;
-  /// no-op otherwise). Exposed so tests can trigger the pin-migration
-  /// reordering — and its TFN fix — deterministically.
-  void repinStream(std::uint32_t stream, unsigned queue) { nic_.repin(stream, queue % workers_); }
-
-  [[nodiscard]] EngineStats stats() const;
-  [[nodiscard]] DispatchPolicy policy() const noexcept { return policy_; }
-
-  /// stats() snapshot into `reg` under `prefix` (see exportEngineStats).
-  void exportMetrics(obs::MetricsRegistry& reg,
-                     const std::string& prefix = "engine.dispatch") const {
-    exportEngineStats(stats(), reg, prefix);
-  }
-
-  /// The worker the policy would pick right now (exposed for tests).
-  [[nodiscard]] unsigned route(std::uint32_t stream);
-
- private:
-  struct PerWorker {
-    // Exactly one of these is allocated: `ring` (SPSC, steal off) or
-    // `queue` (MPMC, steal on — thieves need the consumer seat too).
-    std::unique_ptr<SpscRing<WorkItem>> ring;
-    std::unique_ptr<MpmcQueue<WorkItem>> queue;
-    std::atomic<std::uint64_t> processed{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::array<std::uint64_t, kNumDropReasons> reasons{};  // owner-written
-    LatencyRecorder latency;
-    std::uint32_t trace_track = 0;
-  };
-
-  static EngineOptions optionsWithCapacity(std::size_t capacity) {
-    EngineOptions o;
-    o.queue_capacity = capacity;
-    return o;
-  }
-  /// `live` is false only for stop()'s inline reconcile of leftovers — a
-  /// drain on behalf of a worker that is no longer consuming, whose
-  /// placement feedback must not move a TransportFriendly pin.
-  void runFrame(unsigned w, const WorkItem& item, bool live = true);
-  bool trySteal(unsigned thief);
-  bool anyWorkerAlive() const noexcept;
-  /// True while some consumer can still pop queue `w` (a blocked submit to
-  /// an undrainable queue would wedge forever): any live worker in steal or
-  /// spill mode, the owning worker for a wired queue.
-  bool queueDrainable(unsigned w, bool wired) const noexcept;
-
-  unsigned workers_;
-  DispatchPolicy policy_;
-  EngineOptions options_;
-  net::NicDispatcher nic_;
-  // Shared stack (Locking paradigm): receiveFrame always runs under
-  // stack_mu_; the dispatch policies differ only in cache placement.
-  // Outermost in the lock hierarchy, like LockingEngine::stack_mu_ (the
-  // delivered observer and stack-layer metrics/trace run under it; NIC pin
-  // state is its own inner domain touched by consumer feedback).
-  Mutex stack_mu_{"DispatchEngine::stack_mu_"}
-      AFF_ACQUIRED_BEFORE(OrderingChecker::mu_, NicDispatcher::mu_,
-                          MetricsRegistry::mu_, TraceSession::mu_,
-                          FlowTable::Shard::mu);
-  ProtocolStack stack_ AFF_GUARDED_BY(stack_mu_);
-  FlowFrontEnd flow_;
-  std::vector<PerWorker> per_worker_;
-  WorkerPool pool_;
-  std::atomic<bool> intake_open_{false};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_queue_full_{0};
-  std::atomic<std::uint64_t> rejected_stopped_{0};
-  std::atomic<std::uint64_t> dropped_oldest_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::atomic<std::uint64_t> stolen_{0};
-  unsigned rr_next_ = 0;   ///< round-robin cursor (submitter thread only)
-  unsigned mru_last_ = 0;  ///< most recently dispatched-to worker
-  obs::TraceSession* trace_ = nullptr;  // captured at start(); see LockingEngine
-  bool started_ = false;
-  bool stopped_ = false;
+  using Engine::policy;
+  using Engine::repinStream;
+  using Engine::route;
 };
 
 }  // namespace affinity

@@ -1,23 +1,27 @@
-// engine.hpp — real-thread packet-processing engines.
+// engine.hpp — the real-thread packet-processing engine.
 //
-// The simulation (src/core) is the source of the paper's numbers; these
-// engines execute the *actual* protocol stack (src/proto) on real threads,
-// demonstrating the two parallelization paradigms as running code:
+// The simulation (src/core) is the source of the paper's numbers; the
+// engine executes the *actual* protocol stack (src/proto) on real threads,
+// demonstrating the parallelization paradigms as running code. One Engine
+// class spans the design space; its shape is two values:
 //
-//  * LockingEngine — one shared ProtocolStack guarded by a mutex; workers
-//    pull frames from a shared queue (any packet on any worker).
-//  * IpsEngine — one private ProtocolStack per worker; frames are routed to
-//    a worker by stream hash over SPSC rings (no locks on the fast path,
-//    maximal affinity, per-stream serialization — exactly IPS's trade).
+//  * the stack — one ProtocolStack shared under a mutex (Locking), or one
+//    private stack per worker (IPS: no lock on the receive path);
+//  * the queues — one shared MPMC queue (any packet on any worker), or one
+//    queue per worker routed at submit by a NIC classifier or a software
+//    DispatchPolicy: SPSC rings, or MPMC queues when work stealing is on.
 //
-// Both engines are built to *degrade, not die* (docs/ROBUSTNESS.md):
+// The named configurations LockingEngine, IpsEngine (below) and
+// DispatchEngine (runtime/dispatch_engine.hpp) pick the shape.
+//
+// The engine is built to *degrade, not die* (docs/ROBUSTNESS.md):
 // malformed frames become per-cause drop counters, overload follows a
 // pluggable policy with an optional submit deadline, an optional watchdog
-// detects killed/stalled workers and re-homes their work, and per-flow
-// state lives in a bounded sharded FlowTable (src/flow) sized once at
-// openPort — under state exhaustion the table evicts per policy and the
-// kShedNewFlows overload policy sheds new-flow admissions. At stop() the
-// conservation invariant holds exactly:
+// detects killed/stalled workers (and, with private stacks, re-homes their
+// work), and per-flow state lives in a bounded sharded FlowTable (src/flow)
+// sized once at openPort — under state exhaustion the table evicts per
+// policy and the kShedNewFlows overload policy sheds new-flow admissions.
+// At stop() the conservation invariant holds exactly:
 //
 //   submitted == delivered + Σ dropped_by_reason + dropped_oldest
 //              + Σ evicted_inflight
@@ -29,6 +33,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <stop_token>
 #include <thread>
 #include <vector>
 
@@ -52,8 +58,8 @@ enum class OverloadPolicy : std::uint8_t {
   kBlock,         ///< wait for room (bounded by submit_deadline when set)
   kRejectNewest,  ///< fail fast: reject the incoming frame
   kDropOldest,    ///< evict the oldest queued frame to admit the new one
-                  ///< (shared-queue engines only; ring engines reject —
-                  ///< the SPSC consumer seat belongs to the worker)
+                  ///< (MPMC queues only; an SPSC ring rejects the newest —
+                  ///< its consumer seat belongs to the worker)
   kShedNewFlows,  ///< adaptive load shedding: when flow-table occupancy
                   ///< (or queue depth, where observable) crosses the
                   ///< high-water mark, reject admissions for flows not
@@ -63,7 +69,7 @@ enum class OverloadPolicy : std::uint8_t {
 
 const char* overloadPolicyName(OverloadPolicy p) noexcept;
 
-/// Robustness and overload knobs shared by the engines. The defaults
+/// Robustness and overload knobs of an Engine. The defaults
 /// reproduce the pre-fault-tolerance behavior: block forever, no watchdog.
 struct EngineOptions {
   std::size_t queue_capacity = 1024;  ///< shared queue / per-worker ring slots
@@ -71,21 +77,22 @@ struct EngineOptions {
   /// Longest submit() may wait under kBlock; 0 = unbounded.
   std::chrono::microseconds submit_deadline{0};
   /// Run a watchdog thread that detects dead/stalled workers (per-worker
-  /// heartbeats) and triggers recovery (IPS: stream re-homing).
+  /// heartbeats) and counts them; with private stacks it also re-homes
+  /// their streams.
   bool watchdog = false;
   std::chrono::milliseconds watchdog_interval{2};
   /// Heartbeat silence after which a live worker is declared stalled.
   std::chrono::milliseconds stall_timeout{100};
   /// NIC dispatch front-end: how submit() maps a stream to a worker queue
-  /// (ring engines only — the Locking engine has one shared queue). kDirect
-  /// preserves the historical `stream % workers` routing bit-for-bit.
+  /// (per-worker queues only — a shared queue has no placement). kDirect
+  /// leaves placement to the DispatchPolicy (`stream % workers` for IPS).
   net::NicDispatchMode nic_mode = net::NicDispatchMode::kDirect;
   /// kTransportFriendly staleness window (consumptions at the current pin a
   /// parked repin proposal survives before it is dropped as stale).
   unsigned tfn_window = net::NicDispatcher::kDefaultTfnWindow;
-  /// Affinity-aware work stealing (DispatchEngine only): idle workers take a
-  /// bounded batch from the head of the longest peer queue. Requires MPMC
-  /// per-worker queues, so it is opt-in.
+  /// Affinity-aware work stealing (shared stack, per-worker queues — i.e.
+  /// DispatchEngine): idle workers take a bounded batch from the head of the
+  /// longest peer queue. Requires MPMC per-worker queues, so it is opt-in.
   bool steal = false;
   unsigned steal_batch = 4;  ///< max frames taken per steal
   /// Called after each frame that reaches a session, from the processing
@@ -99,7 +106,7 @@ struct EngineOptions {
   flow::FlowTableConfig flow;
 };
 
-/// Counters common to both engines.
+/// An Engine's counters.
 struct EngineStats {
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;             ///< aggregate: queue_full + stopped + shed
@@ -222,7 +229,7 @@ class LatencyRecorder {
   Histogram hist_;
 };
 
-/// Flow-admission front end shared by the engines: owns the bounded
+/// The engine's flow-admission front end: owns the bounded
 /// FlowTable (src/flow), materialized at openPort so the memory budget is
 /// fixed before any traffic. Admission stamps the WorkItem with the flow
 /// generation; release at process/drop time detects frames orphaned by an
@@ -295,25 +302,58 @@ class FlowFrontEnd {
   std::atomic<std::uint64_t> consumed_{0};
 };
 
-/// Shared-stack (Locking) engine.
-class LockingEngine {
- public:
-  LockingEngine(unsigned workers, HostConfig host, std::size_t queue_capacity = 1024)
-      : LockingEngine(workers, host, optionsWithCapacity(queue_capacity)) {}
-  LockingEngine(unsigned workers, HostConfig host, const EngineOptions& options);
-  ~LockingEngine() { stop(); }
+/// Software placement behind per-worker queues: how submit() picks a worker
+/// when no NIC classifier has (EngineOptions::nic_mode == kDirect).
+enum class DispatchPolicy : std::uint8_t {
+  kRoundRobin,  ///< no affinity (the FCFS baseline)
+  kMruWorker,   ///< the most-recently-dispatched-to worker whose queue has room
+  kStreamHash,  ///< stream % workers (the Wired-Streams analogue)
+};
 
-  /// Opens a UDP port on the shared stack (call before start()).
+const char* dispatchPolicyName(DispatchPolicy p) noexcept;
+
+/// The two axes of the paper's design space that fix an Engine's shape,
+/// plus software placement.
+struct EngineShape {
+  /// IPS: one private ProtocolStack per worker, no lock on the receive
+  /// path. Otherwise one stack shared under Engine::stack_mu_ (Locking).
+  bool private_stacks = false;
+  /// One queue per worker, routed at submit (an SPSC ring, or an MPMC queue
+  /// when EngineOptions::steal lets idle workers pop peers). Otherwise one
+  /// shared MPMC queue every worker pops — no placement control at all.
+  bool per_worker_queues = false;
+  DispatchPolicy policy = DispatchPolicy::kStreamHash;
+  const char* name = "engine";  ///< trace tracks and the default metric prefix
+};
+
+/// The real-thread engine. Everything but the shape is shared: one submit
+/// whose overload rules follow from the queue type (drop-oldest evicts the
+/// head of any MPMC queue and degrades to reject-newest on an SPSC ring),
+/// one worker loop, one per-frame path (Flow Director and transport-friendly
+/// NIC feedback included), one watchdog, one stop() reconcile and one
+/// stats() merge. The watchdog counts failed workers on every shape; where
+/// streams have a home stack (private stacks) it also re-homes a failed
+/// worker's streams to a survivor and flushes its ring there in order.
+///
+/// Construct one of the named configurations below: LockingEngine,
+/// IpsEngine, or DispatchEngine (runtime/dispatch_engine.hpp).
+class Engine {
+ public:
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  /// Opens a UDP port on every stack (call before start()).
   void openPort(std::uint16_t port, std::size_t session_queue = 1024);
 
   void start();
 
-  /// Enqueues a frame per the overload policy (kBlock waits, bounded by the
-  /// submit deadline when set). False once stopped or rejected.
+  /// Routes and enqueues a frame per the overload policy (kBlock waits,
+  /// bounded by the submit deadline when set). False once stopped or
+  /// rejected — stats() splits the causes.
   bool submit(WorkItem item);
 
   /// Closes the intake, drains in-flight work, joins workers (idempotent).
-  /// Any frames stranded by killed workers are reconciled inline so the
+  /// Frames stranded by killed workers are reconciled inline so the
   /// conservation invariant holds exactly at return.
   void stop();
 
@@ -323,157 +363,158 @@ class LockingEngine {
 
   [[nodiscard]] EngineStats stats() const;
 
-  /// Frames fully processed so far. Safe to poll while workers run —
-  /// stats() is not, because it merges the owner-written per-worker arrays
-  /// and is only coherent once the engine has quiesced (drained or stopped).
-  [[nodiscard]] std::uint64_t processedCount() const noexcept {
-    return processed_.load(std::memory_order_acquire);
-  }
+  /// stats() snapshot into `reg` under `prefix` (see exportEngineStats);
+  /// an empty prefix means "engine.<shape name>".
+  void exportMetrics(obs::MetricsRegistry& reg, const std::string& prefix = {}) const;
 
-  /// stats() snapshot into `reg` under `prefix` (see exportEngineStats).
-  void exportMetrics(obs::MetricsRegistry& reg,
-                     const std::string& prefix = "engine.locking") const {
-    exportEngineStats(stats(), reg, prefix);
-  }
+ protected:
+  Engine(unsigned workers, const EngineShape& shape, HostConfig host,
+         const EngineOptions& options);
+  /// Protected and non-virtual: engines are destroyed as the named
+  /// configuration they were built as, never through an Engine pointer.
+  ~Engine() { stop(); }
 
- private:
   static EngineOptions optionsWithCapacity(std::size_t capacity) {
     EngineOptions o;
     o.queue_capacity = capacity;
     return o;
   }
-  void watchdogLoop(std::stop_token st);
-  bool anyWorkerAlive() const noexcept;
 
-  unsigned workers_;
-  EngineOptions options_;
-  // The Locking paradigm's one shared stack: every receiveFrame holds
-  // stack_mu_ (that serialization is the paradigm under study, not a
-  // bottleneck to engineer away). Outermost in the lock hierarchy: the
-  // worker loop runs the delivered observer (which may take
-  // OrderingChecker::mu_) and stack layers may record metrics/trace events
-  // while it is held. The declared order below is enforced by afflint's
-  // lock-order rule and, in AFF_LOCKDEP builds, by util/lockdep.hpp.
-  Mutex stack_mu_{"LockingEngine::stack_mu_"}
-      AFF_ACQUIRED_BEFORE(OrderingChecker::mu_, MetricsRegistry::mu_,
-                          TraceSession::mu_, FlowTable::Shard::mu);
-  ProtocolStack stack_ AFF_GUARDED_BY(stack_mu_);
-  MpmcQueue<WorkItem> queue_;
+  // Accessors the named configurations expose where they apply.
+
+  /// The worker a frame of `stream` would be queued at right now: the NIC
+  /// classifier's queue, else the DispatchPolicy's choice (kRoundRobin
+  /// advances its cursor), followed past workers the watchdog re-homed.
+  [[nodiscard]] unsigned route(std::uint32_t stream);
+  /// Forces the NIC flow table to re-pin `stream` to `queue` (FlowDirector:
+  /// immediately; TransportFriendly: deferred until the old home drains;
+  /// no-op otherwise).
+  void repinStream(std::uint32_t stream, unsigned queue) { nic_.repin(stream, queue % workers_); }
+  [[nodiscard]] DispatchPolicy policy() const noexcept { return shape_.policy; }
+  /// Frames fully processed so far. Safe to poll while workers run —
+  /// stats() is not, because it merges the owner-written per-worker arrays
+  /// and is only coherent once the engine has quiesced (drained or stopped).
+  [[nodiscard]] std::uint64_t processedCount() const noexcept;
+
+ private:
+  // Cache-line aligned: each worker writes its own counters, so a
+  // neighbour's must not share the line.
+  struct alignas(64) PerWorker {
+    std::unique_ptr<ProtocolStack> stack;        ///< private stacks only
+    std::unique_ptr<SpscRing<WorkItem>> ring;    ///< per-worker queues, steal off
+    std::unique_ptr<MpmcQueue<WorkItem>> queue;  ///< per-worker queues, steal on
+    // Failover lane (re-homing engines only): the SPSC ring's producer seat
+    // belongs to the submitter and its consumer seat to the worker, so
+    // re-homed frames from a dead peer arrive through this mutexed side
+    // queue, polled via the flag (one relaxed load on the fast path).
+    std::unique_ptr<MpmcQueue<WorkItem>> recovery;
+    std::atomic<bool> recovery_pending{false};
+    std::atomic<bool> dead{false};      ///< declared failed by a re-homing watchdog
+    std::atomic<unsigned> redirect{0};  ///< failover target (self while alive)
+    std::atomic<std::uint64_t> processed{0};
+    std::atomic<std::uint64_t> delivered{0};
+    std::array<std::uint64_t, kNumDropReasons> reasons{};  // owner-written
+    LatencyRecorder latency;                               // owner-written
+    std::uint32_t trace_track = 0;
+  };
+
+  /// The MPMC queue worker `w` pops (the shared queue, or its own under
+  /// steal); null when it pops an SPSC ring.
+  [[nodiscard]] MpmcQueue<WorkItem>* mpmcOf(unsigned w) const noexcept;
+  bool tryPush(unsigned w, WorkItem& item);
+  bool tryPop(unsigned w, WorkItem& out);
+  [[nodiscard]] bool queueEmpty(unsigned w) const;
+  void workerLoop(unsigned w, std::stop_token st);
+  /// `live` is false for stop()'s reconcile: a drain on behalf of a worker
+  /// that no longer consumes, whose placement feedback must not move a
+  /// TransportFriendly pin.
+  void runFrame(unsigned w, const WorkItem& item, bool live = true);
+  ReceiveContext receive(PerWorker& pw, const WorkItem& item);
+  bool trySteal(unsigned thief);
+  void evictOldest(MpmcQueue<WorkItem>& queue);
+  bool reject(const WorkItem& item, std::atomic<std::uint64_t>& cause);
+  [[nodiscard]] bool anyWorkerAlive() const noexcept;
+  /// True while some consumer can still pop queue `w` (a blocked submit to
+  /// an undrainable queue would wedge forever).
+  [[nodiscard]] bool queueDrainable(unsigned w, bool wired) const noexcept;
+  void watchdogLoop(std::stop_token st);
+  void declareFailed(unsigned w, bool exited);
+  void flushFailed(unsigned w);
+
+  const unsigned workers_;
+  const EngineShape shape_;
+  const EngineOptions options_;
+  /// Private stacks under a watchdog: failed workers' streams re-home.
+  const bool rehome_;
+  const bool tfn_;  ///< options_.nic_mode == kTransportFriendly
+  net::NicDispatcher nic_;
+  // The shared stack (absent with private stacks): every receiveFrame holds
+  // stack_mu_ — that serialization is the Locking paradigm under study, not
+  // a bottleneck to engineer away. Outermost in the lock hierarchy: the
+  // delivered observer (which may take OrderingChecker::mu_) and stack-layer
+  // metrics/trace run under it, and NIC pin state is its own inner domain.
+  // The declared order is enforced by afflint's lock-order rule and, in
+  // AFF_LOCKDEP builds, by util/lockdep.hpp.
+  Mutex stack_mu_{"Engine::stack_mu_"}
+      AFF_ACQUIRED_BEFORE(OrderingChecker::mu_, NicDispatcher::mu_,
+                          MetricsRegistry::mu_, TraceSession::mu_,
+                          FlowTable::Shard::mu);
+  std::optional<ProtocolStack> stack_ AFF_GUARDED_BY(stack_mu_);
+  std::unique_ptr<MpmcQueue<WorkItem>> shared_queue_;  ///< absent with per-worker queues
+  std::vector<PerWorker> per_worker_;
   FlowFrontEnd flow_;
   WorkerPool pool_;
   std::jthread watchdog_;
+  std::atomic<bool> intake_open_{true};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> rejected_queue_full_{0};
   std::atomic<std::uint64_t> rejected_stopped_{0};
   std::atomic<std::uint64_t> dropped_oldest_{0};
-  std::atomic<std::uint64_t> processed_{0};
-  std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> worker_failures_{0};
-  std::vector<std::uint64_t> per_worker_;       // written by owning worker only
-  std::vector<LatencyRecorder> per_worker_lat_; // written by owning worker only
-  // Per-worker drop causes (owner-written), plus a slot for frames
-  // reconciled inline by stop() after all workers died.
-  std::vector<std::array<std::uint64_t, kNumDropReasons>> per_worker_reasons_;
-  std::array<std::uint64_t, kNumDropReasons> drain_reasons_{};
-  LatencyRecorder drain_lat_;
+  std::atomic<std::uint64_t> rehomed_{0};
+  std::atomic<std::uint64_t> steals_{0};
+  std::atomic<std::uint64_t> stolen_{0};
+  // Software placement memory (the one submitter thread of a kRoundRobin /
+  // kMruWorker engine only).
+  unsigned rr_next_ = 0;   ///< round-robin cursor
+  unsigned mru_last_ = 0;  ///< most recently dispatched-to worker
   // Tracing (captured from TraceSession::active() at start(); spans carry
   // steady-clock session time). Null when tracing is off.
   obs::TraceSession* trace_ = nullptr;
-  std::vector<std::uint32_t> trace_tracks_;  // one per worker
   std::uint32_t watchdog_track_ = 0;
   bool started_ = false;
-  std::atomic<bool> stopped_{false};
 };
 
-/// Independent-stacks (IPS) engine: stack-per-worker, hash routing, and
-/// watchdog-driven failover — a dead worker's streams are re-homed to a
-/// survivor and its ring is flushed in order.
-class IpsEngine {
+/// Shared stack, shared queue: the Locking paradigm. Any frame runs on any
+/// worker; workers wait on the queue with a timed pop.
+class LockingEngine final : public Engine {
+ public:
+  LockingEngine(unsigned workers, HostConfig host, std::size_t queue_capacity = 1024)
+      : LockingEngine(workers, host, optionsWithCapacity(queue_capacity)) {}
+  LockingEngine(unsigned workers, HostConfig host, const EngineOptions& options)
+      : Engine(workers, EngineShape{false, false, DispatchPolicy::kStreamHash, "locking"}, host,
+               options) {}
+
+  using Engine::processedCount;
+};
+
+/// Private stacks, per-worker SPSC rings routed by stream: the IPS
+/// paradigm — no lock on the receive path, maximal affinity, per-stream
+/// serialization. Under a watchdog a dead worker's streams are re-homed to
+/// a survivor and its ring is flushed there in order.
+class IpsEngine final : public Engine {
  public:
   IpsEngine(unsigned workers, HostConfig host, std::size_t ring_capacity = 1024)
       : IpsEngine(workers, host, optionsWithCapacity(ring_capacity)) {}
-  IpsEngine(unsigned workers, HostConfig host, const EngineOptions& options);
-  ~IpsEngine() { stop(); }
-
-  /// Opens a UDP port on every worker's stack (call before start()).
-  void openPort(std::uint16_t port, std::size_t session_queue = 1024);
-
-  void start();
-
-  /// Routes the frame to workerOf(stream) per the overload policy. False
-  /// once stopped or rejected.
-  bool submit(WorkItem item);
-
-  /// Stops watchdog and workers, then reconciles any frames stranded in
-  /// dead workers' rings (processed on their own stacks) so the
-  /// conservation invariant holds exactly (idempotent).
-  void stop();
-
-  void injectWorkerKill(unsigned w) { pool_.injectKill(w); }
-  void injectWorkerStall(unsigned w, std::chrono::milliseconds d) { pool_.injectStall(w, d); }
-
-  [[nodiscard]] EngineStats stats() const;
-
-  /// stats() snapshot into `reg` under `prefix` (see exportEngineStats).
-  void exportMetrics(obs::MetricsRegistry& reg, const std::string& prefix = "engine.ips") const {
-    exportEngineStats(stats(), reg, prefix);
-  }
+  IpsEngine(unsigned workers, HostConfig host, const EngineOptions& options)
+      : Engine(workers, EngineShape{true, true, DispatchPolicy::kStreamHash, "ips"}, host,
+               options) {}
 
   /// Home worker of a stream — the NIC dispatch front-end's queue choice
   /// (kDirect: `stream % workers`; kRss: Toeplitz indirection; kFDir:
   /// last-seen pin), following failover redirects past workers the
   /// watchdog has declared dead.
-  [[nodiscard]] unsigned workerOf(std::uint32_t stream) const noexcept;
-
- private:
-  struct PerWorker {
-    std::unique_ptr<ProtocolStack> stack;
-    std::unique_ptr<SpscRing<WorkItem>> ring;
-    // Failover lane: the SPSC ring's producer seat belongs to the
-    // submitter and its consumer seat to the worker, so re-homed frames
-    // from a dead peer arrive through this mutexed side queue, polled via
-    // the flag (one relaxed load on the fast path).
-    std::unique_ptr<MpmcQueue<WorkItem>> recovery;
-    std::atomic<bool> recovery_pending{false};
-    std::atomic<bool> dead{false};
-    std::atomic<unsigned> redirect{0};  ///< failover target (self while alive)
-    std::atomic<std::uint64_t> processed{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::array<std::uint64_t, kNumDropReasons> reasons{};  // owner-written
-    LatencyRecorder latency;
-    std::uint32_t trace_track = 0;
-  };
-
-  static EngineOptions optionsWithCapacity(std::size_t capacity) {
-    EngineOptions o;
-    o.queue_capacity = capacity;
-    return o;
-  }
-  void processOn(PerWorker& pw, const WorkItem& item);
-  void watchdogLoop(std::stop_token st);
-  void declareFailed(unsigned w);
-  void flushFailed(unsigned w);
-  bool anyWorkerAlive() const noexcept;
-
-  unsigned workers_;
-  EngineOptions options_;
-  // NIC front-end. Mutable because workerOf() is const (routing is a read
-  // in spirit; the dispatcher's internal pin table self-synchronizes).
-  mutable net::NicDispatcher nic_;
-  std::vector<PerWorker> per_worker_;
-  FlowFrontEnd flow_;
-  WorkerPool pool_;
-  std::jthread watchdog_;
-  std::atomic<bool> intake_open_{false};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_queue_full_{0};
-  std::atomic<std::uint64_t> rejected_stopped_{0};
-  std::atomic<std::uint64_t> worker_failures_{0};
-  std::atomic<std::uint64_t> rehomed_{0};
-  obs::TraceSession* trace_ = nullptr;  // captured at start(); see LockingEngine
-  std::uint32_t watchdog_track_ = 0;
-  bool started_ = false;
-  bool stopped_ = false;
+  [[nodiscard]] unsigned workerOf(std::uint32_t stream) { return route(stream); }
 };
 
 }  // namespace affinity

@@ -8,7 +8,7 @@
 // chunk; see util/arena.hpp for the rest of the zero-alloc story).
 //
 // SpscRing: a lock-free single-producer/single-consumer ring used on the
-// per-worker fast path of the IPS engine (one dispatcher, one worker).
+// per-worker fast path of the engine (one dispatcher, one worker).
 #pragma once
 
 #include <atomic>
@@ -127,7 +127,7 @@ class MpmcQueue {
   }
 
   // Leaf lock: nothing is ever acquired while a queue is locked (push/pop
-  // release before notifying), so it may sit under either engine's stack_mu_.
+  // release before notifying), so it may sit under the engine's stack_mu_.
   mutable Mutex mu_{"MpmcQueue::mu_"};
   CondVar not_empty_;
   CondVar not_full_;

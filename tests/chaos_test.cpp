@@ -413,14 +413,28 @@ TEST(FlowChaos, ShedNewFlowsRefusesNewButNeverEstablishedFlows) {
 TEST(FlowChaos, DropOldestComposesWithFlowEvictionAccounting) {
   // Both degradation mechanisms at once: queue eviction (dropped_oldest)
   // and flow-table eviction (evicted_inflight) must each count their own
-  // frames, with no double counting — conservation is the proof.
-  ChaosConfig cfg = exhaustionChaos(256);
-  cfg.engine.queue_capacity = 16;
-  cfg.engine.overload = OverloadPolicy::kDropOldest;
-  const ChaosReport rep = runChaos(EngineKind::kLocking, cfg);
-  EXPECT_TRUE(rep.conserved) << rep.describe();
-  EXPECT_GT(rep.stats.dropped_oldest, 0u);
-  EXPECT_GT(rep.stats.evictions(), 0u);
+  // frames, with no double counting — conservation is the proof. Drop-oldest
+  // is one rule on every MPMC queue: Locking's shared queue, and Dispatch's
+  // per-worker queues under stealing, where a transport-friendly victim
+  // must also close its in-flight slot.
+  struct Case {
+    EngineKind kind;
+    net::NicDispatchMode nic;
+  };
+  for (const Case c : {Case{EngineKind::kLocking, net::NicDispatchMode::kDirect},
+                       Case{EngineKind::kDispatch, net::NicDispatchMode::kDirect},
+                       Case{EngineKind::kDispatch, net::NicDispatchMode::kTransportFriendly}}) {
+    SCOPED_TRACE(std::string(engineKindName(c.kind)) + " / " + net::nicModeName(c.nic));
+    ChaosConfig cfg = exhaustionChaos(256);
+    cfg.engine.queue_capacity = 16;
+    cfg.engine.overload = OverloadPolicy::kDropOldest;
+    cfg.engine.steal = c.kind == EngineKind::kDispatch;
+    cfg.engine.nic_mode = c.nic;
+    const ChaosReport rep = runChaos(c.kind, cfg);
+    EXPECT_TRUE(rep.conserved) << rep.describe();
+    EXPECT_GT(rep.stats.dropped_oldest, 0u);
+    EXPECT_GT(rep.stats.evictions(), 0u);
+  }
 }
 
 TEST(FlowChaos, AdmissionLedgerIsIdenticalAcrossWorkerCounts) {

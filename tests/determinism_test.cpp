@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "cachesim/rd_capture.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel_sim.hpp"
 #include "core/scenario.hpp"
@@ -187,6 +188,25 @@ TEST(GoldenSeed, ParallelActuallyShards) {
   EXPECT_FALSE(linfo.parallel);
   ASSERT_NE(linfo.fallback_reason, nullptr);
   EXPECT_STREQ(linfo.fallback_reason, "paradigm is not ips");
+
+  // The IPS-wired config above, on the shared-LLC reuse model: the config
+  // is eligible, but the LLC term reads any-processor ages, which couple
+  // the shards — the run must fall back to serial and match it bit for bit.
+  RdCaptureParams capture;
+  capture.co_runners = 8;
+  const ExecTimeModel llc(cachedDefaultRdModel(MachineParams::modern2020(), capture),
+                          ReloadParams::measuredUdpReceive().splitForSharedLlc(),
+                          FootprintShares{});
+  SimConfig llc_serial_config = c;
+  llc_serial_config.parallel_procs = 0;
+  const RunMetrics llc_serial = runOnce(llc_serial_config, llc, makePoissonStreams(16, 0.03));
+  ParallelRunInfo llc_info;
+  const RunMetrics llc_par = runParallel(c, llc, makePoissonStreams(16, 0.03), &llc_info);
+  EXPECT_FALSE(llc_info.parallel);
+  ASSERT_NE(llc_info.fallback_reason, nullptr);
+  EXPECT_STREQ(llc_info.fallback_reason,
+               "shared LLC couples processors through any-processor ages");
+  expectIdenticalMetrics(llc_serial, llc_par);
 }
 
 // ------------------------------------------- steal-affinity determinism ---

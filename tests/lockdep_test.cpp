@@ -242,7 +242,7 @@ TEST(LockdepLiveTree, DynamicEdgesLieWithinTheStaticAcquisitionGraph) {
   bool saw_observer_edge = false;
   for (const auto& e : dyn)
     saw_observer_edge = saw_observer_edge ||
-                        (e.from == "LockingEngine::stack_mu_" && e.to == "OrderingChecker::mu_");
+                        (e.from == "Engine::stack_mu_" && e.to == "OrderingChecker::mu_");
   EXPECT_TRUE(saw_observer_edge)
       << "expected the delivered-observer nesting in the observed graph; got "
       << dyn.size() << " edge(s)";

@@ -1,5 +1,6 @@
 // Tests for src/runtime: queues under concurrency, worker pools, and the
-// Locking / IPS real-thread engines processing real frames end to end.
+// real-thread engine's Locking / IPS / Dispatch configurations processing
+// real frames end to end.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -443,6 +444,37 @@ TEST(LockingEngineTest, SurvivesWorkerKillWithoutLosingFrames) {
   EXPECT_EQ(s.delivered, static_cast<std::uint64_t>(kN));
   EXPECT_TRUE(s.conserved());
   EXPECT_GE(s.worker_failures, 1u);
+}
+
+TEST(DispatchEngineTest, WatchdogCountsAKilledWorker) {
+  // One watchdog for every engine shape: on the shared stack it counts the
+  // failure (re-homing is for private stacks), and stop() reconciles the
+  // frames stranded in the dead worker's queue.
+  EngineOptions opts;
+  opts.queue_capacity = 1024;
+  opts.watchdog = true;
+  opts.watchdog_interval = std::chrono::milliseconds(1);
+  opts.stall_timeout = std::chrono::milliseconds(5000);  // only kills trip it
+  DispatchEngine eng(2, DispatchPolicy::kStreamHash, HostConfig{}, opts);
+  eng.openPort(7000, 1 << 16);
+  eng.start();
+  eng.injectWorkerKill(0);
+  // No frames in flight while polling: stats() merges owner-written
+  // per-worker arrays, so it is only race-free on an idle engine.
+  for (int spin = 0; spin < 5000 && eng.stats().worker_failures == 0; ++spin)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  constexpr int kN = 400;
+  for (int i = 0; i < kN; ++i) {
+    const auto stream = static_cast<std::uint32_t>(i % 4);
+    ASSERT_TRUE(eng.submit({frameFor(stream), stream, {}}));
+  }
+  eng.stop();
+  const EngineStats s = eng.stats();
+  EXPECT_GE(s.worker_failures, 1u);
+  EXPECT_EQ(s.rehomed, 0u);
+  EXPECT_EQ(s.submitted, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(s.processed, static_cast<std::uint64_t>(kN));
+  EXPECT_TRUE(s.conserved());
 }
 
 TEST(LockingEngineTest, ReconcilesQueueWhenEveryWorkerDies) {
