@@ -18,9 +18,10 @@
 
 namespace affinity::bench {
 
-// Payload sized like the simulation's completion callback (`this` + Job +
-// two doubles ≈ 40 bytes): big enough that std::function heap-allocates it,
-// small enough for EventCallback's inline buffer.
+// A 40-byte payload, larger than any callback the protocol simulation
+// schedules (those capture `this` plus at most two scalars; a packet
+// completion is `this` + a processor id): big enough that std::function
+// heap-allocates it, small enough for EventCallback's inline buffer.
 struct KernelPayload {
   std::uint64_t* sink;
   double a, b, c, d;
@@ -45,8 +46,8 @@ struct FrameWorkPayload {
   std::uint64_t* sink;
   double a, b, c, d;
   // Unused; matches GuardedFrameWorkPayload's size and layout so the two
-  // variants take the same EventCallback storage path (inline vs heap) and
-  // the A/B race isolates the guard, not the payload footprint.
+  // variants have the same EventCallback footprint and the A/B race
+  // isolates the guard, not the payload size.
   std::uint32_t track;
   void operator()() const {
     *sink += static_cast<std::uint64_t>(frameSizedWork(a + b + c + d));
@@ -161,10 +162,9 @@ double benchChain(std::uint64_t n, std::uint64_t /*seed*/) {
 
 // Batched same-timestamp admission: the dispatcher pattern — a burst of
 // `batch` events lands at one virtual instant, then the queue drains before
-// the next burst. With batch >= the kernel's admission-batch size the
-// staged cohort crosses the flush boundary every phase, so this isolates
-// the SoA batched-insert path against the seed kernel's one-at-a-time
-// heap pushes. Returns events/sec.
+// the next burst. Every event of a burst lands in the same calendar
+// bucket, so this isolates the append-to-bucket admission path against the
+// seed kernel's one-at-a-time heap pushes. Returns events/sec.
 template <class Sim>
 double benchBatchAdmit(std::uint64_t n, std::size_t batch, std::uint64_t seed) {
   Sim sim;

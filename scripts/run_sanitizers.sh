@@ -29,7 +29,11 @@ jobs="${CTEST_PARALLEL_LEVEL:-$(nproc)}"
 # and TSan diagnostics are per-process) and skips the simulator-only suites.
 # arena_test rides along for the frame arena's cross-thread free path
 # (Treiber return stack + owner drain), which is TSan's home turf.
-suites=(runtime_test chaos_test proto_test tcp_test property_test arena_test)
+# ordering_test drives every engine shape and NIC mode with live workers
+# (its waits poll only race-free signals); sim_test covers the event
+# kernel's cancel, swap-remove and rebuild paths under ASan/UBSan.
+suites=(runtime_test chaos_test proto_test tcp_test property_test arena_test ordering_test
+        sim_test)
 
 declare -A verdict
 

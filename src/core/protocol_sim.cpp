@@ -14,6 +14,7 @@ ProtocolSim::ProtocolSim(SimConfig config, const ExecTimeModel& model, const Str
       dispatch_rng_(Rng(config.seed).split(0xd15c)),
       proc_idle_(config.num_procs, 1),
       idle_count_(config.num_procs),
+      in_service_(config.num_procs),
       wired_queues_(config.num_procs),
       stack_queues_(config.effectiveStacks()),
       stack_busy_(config.effectiveStacks(), 0),
@@ -418,9 +419,8 @@ void ProtocolSim::startService(unsigned proc, const Job& job, double extra_us) {
   if (config_.observer != nullptr)
     config_.observer->onServiceStart(proc, job.stream, stack, job.arrival_us, now,
                                      lock_wait + exec);
-  sim_.scheduleAfter(lock_wait + exec, [this, proc, job, lock_wait, exec] {
-    onComplete(proc, job, lock_wait, exec);
-  });
+  in_service_[proc] = InService{job, lock_wait, exec};
+  sim_.scheduleAfter(lock_wait + exec, [this, proc] { onComplete(proc); });
 }
 
 void ProtocolSim::feedProcessor(unsigned proc) {
@@ -575,7 +575,9 @@ bool ProtocolSim::trySteal(unsigned thief) {
   return true;
 }
 
-void ProtocolSim::onComplete(unsigned proc, const Job& job, double lock_wait, double exec) {
+void ProtocolSim::onComplete(unsigned proc) {
+  // A copy: feedProcessor() below may start this processor's next job.
+  const auto [job, lock_wait, exec] = in_service_[proc];
   const double now = sim_.now();
   const bool locking = usesLocking(job.stream);
   const std::uint32_t stack = locking ? AffinityState::kNoStack : job.queue;

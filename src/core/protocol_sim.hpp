@@ -258,7 +258,8 @@ class ProtocolSim {
   void arrivePacket(std::uint32_t stream);
   /// `extra_us` is added to the execution time (the steal penalty).
   void startService(unsigned proc, const Job& job, double extra_us = 0.0);
-  void onComplete(unsigned proc, const Job& job, double lock_wait, double service);
+  /// Completes the job in service on `proc` (its in_service_ record).
+  void onComplete(unsigned proc);
   void tryDispatchStack(std::uint32_t stack);
   void feedProcessor(unsigned proc);
   /// kStealAffinity: `thief` is idle with an empty wired queue; migrate a
@@ -330,6 +331,15 @@ class ProtocolSim {
   // Processor state.
   std::vector<std::uint8_t> proc_idle_;
   unsigned idle_count_ = 0;
+  /// The job each busy processor is serving, with its stall and execution
+  /// time. A processor serves one job at a time, so the completion event
+  /// carries only the processor id and finds the rest here.
+  struct InService {
+    Job job;
+    double lock_wait = 0.0;
+    double exec = 0.0;
+  };
+  std::vector<InService> in_service_;
 
   // Locking queues.
   std::deque<Job> global_queue_;                  // FCFS / MRU / StreamMRU

@@ -1,5 +1,7 @@
 #include "core/scenario.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "cachesim/rd_capture.hpp"
@@ -14,6 +16,33 @@ namespace {
 bool fail(std::string* error, const std::string& message) {
   if (error) *error = message;
   return false;
+}
+
+// Upper bounds for counts that size per-item state up front.
+constexpr std::int64_t kMaxStacks = std::int64_t{1} << 16;
+constexpr std::int64_t kMaxStreams = std::int64_t{1} << 24;
+
+// Largest value of unsigned type T that an int64 config value can carry.
+template <typename T>
+constexpr std::int64_t maxOf() {
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>(std::numeric_limits<T>::max(),
+                              std::numeric_limits<std::int64_t>::max()));
+}
+
+// The one reader for integer keys stored in unsigned fields: reads `key`
+// (`fallback` when absent) and fails with the key's name unless the value
+// lies in [lo, hi], so a negative or oversized value can never wrap.
+template <typename T>
+bool readInt(const ConfigFile& cfg, const std::string& key, std::int64_t fallback, T* out,
+             std::string* error, std::int64_t lo = 0, std::int64_t hi = maxOf<T>()) {
+  const std::int64_t v = cfg.getInt(key, fallback);
+  if (v < lo || v > hi) {
+    return fail(error, key + " = " + std::to_string(v) + " is out of range [" +
+                           std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  *out = static_cast<T>(v);
+  return true;
 }
 
 bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
@@ -54,7 +83,8 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
     return fail(error, "unknown policy.ips '" + ips + "'");
   }
 
-  out.policy.ips_stacks = static_cast<unsigned>(cfg.getInt("policy.stacks", 0));
+  if (!readInt(cfg, "policy.stacks", 0, &out.policy.ips_stacks, error, 0, kMaxStacks))
+    return false;
   out.adaptive_hybrid = cfg.getBool("policy.adaptive", false);
 
   // The NIC front-end reads from its own [net] section, with the historical
@@ -64,11 +94,11 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
       cfg.getString("net.dispatch", cfg.getString("policy.dispatch", "direct"));
   if (!net::parseNicMode(dispatch, &out.dispatch))
     return fail(error, "unknown net.dispatch '" + dispatch + "'");
-  out.tfn_window = static_cast<unsigned>(cfg.getInt(
-      "net.tfn_window", static_cast<int>(net::NicDispatcher::kDefaultTfnWindow)));
-  if (out.tfn_window == 0) return fail(error, "net.tfn_window must be positive");
-  out.steal_batch = static_cast<unsigned>(cfg.getInt("policy.steal_batch", 4));
-  out.steal_min_queue = static_cast<unsigned>(cfg.getInt("policy.steal_min_queue", 2));
+  if (!readInt(cfg, "net.tfn_window", net::NicDispatcher::kDefaultTfnWindow, &out.tfn_window,
+               error, 1) ||
+      !readInt(cfg, "policy.steal_batch", 4, &out.steal_batch, error) ||
+      !readInt(cfg, "policy.steal_min_queue", 2, &out.steal_min_queue, error))
+    return false;
   out.steal_penalty_us = cfg.getDouble("policy.steal_penalty_us", 5.0);
 
   const std::string hybrid_list = cfg.getString("policy.hybrid_locking_streams", "");
@@ -76,12 +106,14 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
     std::stringstream ss(hybrid_list);
     std::string item;
     while (std::getline(ss, item, ',')) {
+      long long id = -1;
       try {
-        out.policy.hybrid_locking_streams.push_back(
-            static_cast<std::uint32_t>(std::stoul(item)));
+        id = std::stoll(item);
       } catch (...) {
-        return fail(error, "bad stream id '" + item + "' in hybrid_locking_streams");
       }
+      if (id < 0 || id > maxOf<std::uint32_t>())
+        return fail(error, "bad stream id '" + item + "' in hybrid_locking_streams");
+      out.policy.hybrid_locking_streams.push_back(static_cast<std::uint32_t>(id));
     }
   }
   return true;
@@ -141,25 +173,19 @@ bool parseCache(const ConfigFile& cfg, unsigned num_procs, ExecTimeModel& model,
   if (kind != "reuse") return fail(error, "unknown cache.model '" + kind + "'");
 
   RdCaptureParams capture;
-  capture.profile_streams =
-      static_cast<unsigned>(cfg.getInt("cache.profile_streams",
-                                       static_cast<int>(capture.profile_streams)));
-  capture.profile_packets =
-      static_cast<unsigned>(cfg.getInt("cache.profile_packets",
-                                       static_cast<int>(capture.profile_packets)));
-  capture.profile_bg_refs = static_cast<std::uint64_t>(
-      cfg.getInt("cache.profile_bg_refs", static_cast<int>(capture.profile_bg_refs)));
-  capture.profile_seed =
-      static_cast<std::uint64_t>(cfg.getInt("cache.profile_seed", 42));
+  if (!readInt(cfg, "cache.profile_streams", capture.profile_streams, &capture.profile_streams,
+               error, 1) ||
+      !readInt(cfg, "cache.profile_packets", capture.profile_packets, &capture.profile_packets,
+               error, 1) ||
+      !readInt(cfg, "cache.profile_bg_refs", static_cast<std::int64_t>(capture.profile_bg_refs),
+               &capture.profile_bg_refs, error, 1) ||
+      !readInt(cfg, "cache.profile_seed", 42, &capture.profile_seed, error))
+    return false;
   // Co-runners share the LLC; on the shared-LLC topology every processor's
   // packet stream competes for it, so default to the machine size there.
-  capture.co_runners = static_cast<unsigned>(
-      cfg.getInt("cache.co_runners", has_llc ? static_cast<int>(num_procs) : 1));
+  if (!readInt(cfg, "cache.co_runners", has_llc ? num_procs : 1u, &capture.co_runners, error, 1))
+    return false;
   capture.protocol_duty = cfg.getDouble("cache.duty", capture.protocol_duty);
-  if (capture.profile_streams == 0 || capture.profile_packets == 0 ||
-      capture.profile_bg_refs == 0)
-    return fail(error, "cache profile parameters must be positive");
-  if (capture.co_runners == 0) return fail(error, "cache.co_runners must be positive");
   if (capture.protocol_duty < 0.0 || capture.protocol_duty > 1.0)
     return fail(error, "cache.duty must be in [0, 1]");
 
@@ -169,7 +195,8 @@ bool parseCache(const ConfigFile& cfg, unsigned num_procs, ExecTimeModel& model,
 
 bool parseWorkload(const ConfigFile& cfg, StreamSet& out, std::string* error) {
   const std::string type = cfg.getString("workload.type", "poisson");
-  const auto streams = static_cast<std::size_t>(cfg.getInt("workload.streams", 16));
+  std::size_t streams = 0;
+  if (!readInt(cfg, "workload.streams", 16, &streams, error, 0, kMaxStreams)) return false;
   const double rate = cfg.getDouble("workload.rate_pkts_per_s", 12'000.0) / 1e6;
   if (type != "trace" && (rate <= 0.0 || streams == 0))
     return fail(error, "workload rate and streams must be positive");
@@ -183,8 +210,9 @@ bool parseWorkload(const ConfigFile& cfg, StreamSet& out, std::string* error) {
     out = makeTrainStreams(streams, rate, cfg.getDouble("workload.train_len", 8.0),
                            cfg.getDouble("workload.intercar_gap_us", 30.0));
   } else if (type == "hotcold") {
-    const auto hot = static_cast<std::size_t>(cfg.getInt("workload.hot", 2));
-    if (hot == 0 || hot >= streams) return fail(error, "workload.hot must be in (0, streams)");
+    std::size_t hot = 0;
+    if (!readInt(cfg, "workload.hot", 2, &hot, error, 1, static_cast<std::int64_t>(streams) - 1))
+      return false;
     out = makeHotColdStreams(hot, streams - hot, rate,
                              cfg.getDouble("workload.hot_share", 0.5));
   } else if (type == "zipf") {
@@ -210,9 +238,10 @@ bool parseWorkload(const ConfigFile& cfg, StreamSet& out, std::string* error) {
 
 bool parseFlow(const ConfigFile& cfg, SimConfig& out, std::string* error) {
   out.flow.enabled = cfg.getBool("flow.enabled", out.flow.enabled);
-  out.flow.budget_bytes = static_cast<std::size_t>(
-      cfg.getInt("flow.budget_bytes", static_cast<std::int64_t>(out.flow.budget_bytes)));
-  out.flow.shards = static_cast<unsigned>(cfg.getInt("flow.shards", out.flow.shards));
+  if (!readInt(cfg, "flow.budget_bytes", static_cast<std::int64_t>(out.flow.budget_bytes),
+               &out.flow.budget_bytes, error) ||
+      !readInt(cfg, "flow.shards", out.flow.shards, &out.flow.shards, error))
+    return false;
   const std::string policy = cfg.getString("flow.policy", "lru");
   if (!flow::parseEvictPolicy(policy, &out.flow.policy))
     return fail(error, "unknown flow.policy '" + policy + "'");
@@ -221,8 +250,9 @@ bool parseFlow(const ConfigFile& cfg, SimConfig& out, std::string* error) {
   out.flow.shed_low_water = cfg.getDouble("flow.low_water", out.flow.shed_low_water);
   out.flow.shed_admit_fraction =
       cfg.getDouble("flow.admit_fraction", out.flow.shed_admit_fraction);
-  out.flow.seed = static_cast<std::uint64_t>(
-      cfg.getInt("flow.seed", static_cast<std::int64_t>(out.flow.seed)));
+  if (!readInt(cfg, "flow.seed", static_cast<std::int64_t>(out.flow.seed), &out.flow.seed,
+               error))
+    return false;
   if (out.flow.shed_high_water < out.flow.shed_low_water)
     return fail(error, "flow.high_water must be >= flow.low_water");
   return true;
@@ -233,11 +263,8 @@ bool parseFlow(const ConfigFile& cfg, SimConfig& out, std::string* error) {
 std::optional<Scenario> buildScenario(const ConfigFile& cfg, std::string* error) {
   Scenario s;
   s.config = defaultSimConfig();
-  s.config.num_procs = static_cast<unsigned>(cfg.getInt("machine.processors", 8));
-  if (s.config.num_procs == 0 || s.config.num_procs > 64) {
-    if (error) *error = "machine.processors out of range";
+  if (!readInt(cfg, "machine.processors", 8, &s.config.num_procs, error, 1, 64))
     return std::nullopt;
-  }
   s.config.lock_overhead_us = cfg.getDouble("machine.lock_overhead_us", 20.0);
   s.config.critical_section_us = cfg.getDouble("machine.critical_section_us", 8.0);
   s.config.bus_occupancy_fraction = cfg.getDouble("machine.bus_occupancy", 0.0);
@@ -248,12 +275,12 @@ std::optional<Scenario> buildScenario(const ConfigFile& cfg, std::string* error)
   if (!parsePolicy(cfg, s.config, error)) return std::nullopt;
   if (!parseFlow(cfg, s.config, error)) return std::nullopt;
 
-  s.config.seed = static_cast<std::uint64_t>(cfg.getInt("run.seed", 1));
+  if (!readInt(cfg, "run.seed", 1, &s.config.seed, error)) return std::nullopt;
   s.config.warmup_us = cfg.getDouble("run.warmup_us", 200'000.0);
   s.config.measure_us = cfg.getDouble("run.measure_us", 2'000'000.0);
   s.config.fixed_overhead_us = cfg.getDouble("run.v_us", 0.0);
   s.config.per_stream_stats = cfg.getBool("run.per_stream", false);
-  s.config.parallel_procs = static_cast<unsigned>(cfg.getInt("run.parallel", 0));
+  if (!readInt(cfg, "run.parallel", 0, &s.config.parallel_procs, error)) return std::nullopt;
   s.run_until_confident = cfg.getBool("run.confident", false);
 
   if (s.config.adaptive_hybrid && s.config.policy.paradigm != Paradigm::kHybrid) {

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace affinity {
@@ -35,81 +36,20 @@ std::uint64_t Simulator::minAssigned() const noexcept {
   return mn;
 }
 
-void Simulator::flushAdmissions() {
-  const std::size_t n = staged_keys_.size();
-  if (n == 0) return;
-  if (n == 1) {
-    // Common interleaved schedule/step pattern: skip the grouping machinery.
-    const StagedKey& k = staged_keys_[0];
-    Bucket& b = buckets_[k.assigned & mask_];
-    b.growFor(1);
-    b.appendReserved(k.at, k.seq, k.assigned, k.slot, std::move(staged_fns_[0]));
-    slots_[k.slot] = Slot{k.seq, static_cast<std::uint32_t>(k.assigned & mask_),
-                          static_cast<std::uint32_t>(b.size() - 1)};
-  } else {
-    // Group the cohort by target bucket so each bucket pays one capacity
-    // check. Sorting a u32 index array of <= kAdmitBatch entries is cheap;
-    // intra-bucket order is irrelevant (dequeue order is exact on
-    // (at, seq)), but (bucket, index) makes the sort deterministic.
-    admit_order_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) admit_order_[i] = static_cast<std::uint32_t>(i);
-    std::sort(admit_order_.begin(), admit_order_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const std::uint64_t ba = staged_keys_[a].assigned & mask_;
-                const std::uint64_t bb = staged_keys_[b].assigned & mask_;
-                return ba != bb ? ba < bb : a < b;
-              });
-    // Pass 1: reserve every target bucket up front. A bad_alloc here leaves
-    // the calendar untouched and the cohort still staged.
-    for (std::size_t i = 0; i < n;) {
-      const std::uint64_t bucket = staged_keys_[admit_order_[i]].assigned & mask_;
-      std::size_t j = i;
-      while (j < n && (staged_keys_[admit_order_[j]].assigned & mask_) == bucket) ++j;
-      buckets_[bucket].growFor(j - i);
-      i = j;
-    }
-    // Pass 2: append (nothrow — capacity reserved, callback moves are
-    // noexcept) and point the slots at their admitted positions.
-    for (std::size_t i = 0; i < n; ++i) {
-      const StagedKey& k = staged_keys_[admit_order_[i]];
-      Bucket& b = buckets_[k.assigned & mask_];
-      b.appendReserved(k.at, k.seq, k.assigned, k.slot,
-                       std::move(staged_fns_[admit_order_[i]]));
-      slots_[k.slot] = Slot{k.seq, static_cast<std::uint32_t>(k.assigned & mask_),
-                            static_cast<std::uint32_t>(b.size() - 1)};
-    }
-  }
-  staged_keys_.clear();
-  staged_fns_.clear();
-  if (live_ > 4 * (mask_ + 1)) rebuild();
-}
-
 bool Simulator::cancel(EventHandle h) noexcept {
   if (!h.valid()) return false;
   if (h.slot_ >= slots_.size()) return false;
   const Slot s = slots_[h.slot_];
   if (s.seq != h.seq_) return false;  // already ran, cancelled, or slot reused
-  if (s.bucket == kStagedBucket) {
-    // Still in the admission staging buffer: swap-remove it there.
-    const auto last = static_cast<std::uint32_t>(staged_keys_.size() - 1);
-    if (s.index != last) {
-      staged_keys_[s.index] = staged_keys_[last];
-      staged_fns_[s.index] = std::move(staged_fns_[last]);
-      slots_[staged_keys_[s.index].slot].index = s.index;
-    }
-    staged_keys_.pop_back();
-    staged_fns_.pop_back();
-  } else {
-    removeEntry(buckets_[s.bucket], s.bucket, s.index);
-  }
+  removeEntry(buckets_[s.bucket], s.bucket, s.index);
   freeSlot(h.slot_);
   --live_;
   return true;
 }
 
-// Shared rotation handler for the two dequeue scans: a full pass of the ring
-// found no event in the current year, i.e. the next event is more than
-// nbuckets windows ahead. Jump the cursor straight to its window (O(nbuckets
+// Rotation handler for the dequeue scan: a full pass of the ring found no
+// event in the current year, i.e. the next event is more than nbuckets
+// windows ahead. Jump the cursor straight to its window (O(nbuckets
 // + live)). If that keeps happening — or the ring is badly oversized for the
 // population — the width/size are mistuned, so pay for a full retune.
 void Simulator::onEmptyRotation() {
@@ -120,26 +60,30 @@ void Simulator::onEmptyRotation() {
   }
 }
 
-bool Simulator::popNext(SimTime& at, EventCallback& fn) {
-  flushAdmissions();
+bool Simulator::stepUntil(SimTime until) {
   if (live_ == 0) return false;
   std::size_t scanned = 0;
   for (;;) {
-    Bucket& b = buckets_[cursor_ & mask_];
+    const auto bucket = static_cast<std::uint32_t>(cursor_ & mask_);
+    Bucket& b = buckets_[bucket];
     // Overlap the callback-array fetch with the key scan: if this bucket
     // has the next event, its callback is about to be moved out.
     __builtin_prefetch(b.fns.data());
     const int best = minQualifying(b);
     if (best >= 0) {
-      const auto i = static_cast<std::size_t>(best);
-      at = b.at[i];
+      const auto i = static_cast<std::uint32_t>(best);
+      const SimTime at = b.at[i];
+      if (at > until) return false;
       // Move the callback out before unlinking: the callback may re-enter
       // schedule(), which can reuse the slot and rebuild the calendar.
-      fn = std::move(b.fns[i]);
+      EventCallback fn = std::move(b.fns[i]);
       freeSlot(b.slot[i]);
-      removeEntry(b, static_cast<std::uint32_t>(cursor_ & mask_),
-                  static_cast<std::uint32_t>(best));
+      removeEntry(b, bucket, i);
       --live_;
+      AFF_DCHECK(at >= now_);
+      now_ = at;
+      ++executed_;
+      fn();
       return true;
     }
     ++cursor_;
@@ -150,43 +94,11 @@ bool Simulator::popNext(SimTime& at, EventCallback& fn) {
   }
 }
 
-bool Simulator::peekTime(SimTime& at) {
-  flushAdmissions();
-  if (live_ == 0) return false;
-  std::size_t scanned = 0;
-  for (;;) {
-    const Bucket& b = buckets_[cursor_ & mask_];
-    const int best = minQualifying(b);
-    if (best >= 0) {
-      at = b.at[static_cast<std::size_t>(best)];
-      return true;
-    }
-    ++cursor_;
-    if (++scanned > mask_) {
-      onEmptyRotation();
-      scanned = 0;
-    }
-  }
-}
-
-bool Simulator::step() {
-  SimTime at;
-  EventCallback fn;
-  if (!popNext(at, fn)) return false;
-  AFF_DCHECK(at >= now_);
-  now_ = at;
-  ++executed_;
-  fn();
-  return true;
-}
+bool Simulator::step() { return stepUntil(std::numeric_limits<SimTime>::infinity()); }
 
 std::uint64_t Simulator::runUntil(SimTime until) {
   std::uint64_t ran = 0;
-  SimTime at;
-  while (peekTime(at) && at <= until) {
-    step();
-    ++ran;
-  }
+  while (stepUntil(until)) ++ran;
   if (now_ < until) now_ = until;
   return ran;
 }
@@ -208,14 +120,19 @@ void Simulator::initBuckets(std::size_t nbuckets, double width) {
 }
 
 void Simulator::rebuild() {
-  AFF_DCHECK(staged_keys_.empty());
-  std::vector<StagedKey> keys;
+  struct Key {
+    SimTime at;
+    std::uint64_t seq;
+    std::uint64_t assigned;
+    std::uint32_t slot;
+  };
+  std::vector<Key> keys;
   std::vector<EventCallback> fns;
   keys.reserve(live_);
   fns.reserve(live_);
   for (Bucket& b : buckets_) {
     for (std::size_t i = 0; i < b.size(); ++i) {
-      keys.push_back(StagedKey{b.at[i], b.seq[i], b.assigned[i], b.slot[i]});
+      keys.push_back(Key{b.at[i], b.seq[i], b.assigned[i], b.slot[i]});
       fns.push_back(std::move(b.fns[i]));
     }
   }
@@ -226,7 +143,7 @@ void Simulator::rebuild() {
   if (keys.size() > 1) {
     double lo = keys.front().at;
     double hi = lo;
-    for (const StagedKey& e : keys) {
+    for (const Key& e : keys) {
       lo = std::min(lo, e.at);
       hi = std::max(hi, e.at);
     }
@@ -243,7 +160,7 @@ void Simulator::rebuild() {
     return;
   }
   std::uint64_t first = ~std::uint64_t{0};
-  for (StagedKey& e : keys) {
+  for (Key& e : keys) {
     e.assigned = windowOf(e.at);
     first = std::min(first, e.assigned);
   }

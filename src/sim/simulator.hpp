@@ -8,35 +8,31 @@
 // Hot-path design (the whole repo's figure reproductions funnel millions of
 // events through here; the seed kernel paid a std::function heap allocation,
 // an unordered_set insert/erase, and O(log n) binary-heap sifts per event):
-//   * Callbacks live in EventCallback — small-buffer-optimized type erasure,
-//     no per-event heap allocation for the simulation's capture sizes
-//     (oversized captures fall back to pooled storage).
+//   * Callbacks live in EventCallback — inline type erasure, no per-event
+//     heap allocation (a capture too large for the inline buffer does not
+//     compile).
 //   * Every pending event occupies a generation-stamped slot recycled
 //     through a free list; an EventHandle is (slot, seq) and is valid iff
 //     the slot still carries that seq. cancel() is O(1) and eager: the
 //     event is unlinked immediately, leaving no tombstones.
 //   * The calendar is a Brown-style calendar queue: a power-of-two ring of
 //     unsorted buckets, each covering a `width_`-µs window of the current
-//     "year". Enqueue appends to the target bucket (O(1)); dequeue scans
-//     the cursor bucket for the (time, seq)-minimum among entries whose
-//     assigned window has arrived. Bucket count and width retune from the
-//     live event population (on growth and on empty-year rotations), so
-//     both operations are O(1) amortized.
+//     "year". schedule() appends straight to the target bucket (O(1));
+//     dequeue scans the cursor bucket for the (time, seq)-minimum among
+//     entries whose assigned window has arrived. Bucket count and width
+//     retune from the live event population (on growth and on empty-year
+//     rotations), so both operations are O(1) amortized.
 //   * Buckets are structure-of-arrays: the hot dequeue scan touches three
 //     dense parallel arrays (time, generation seq, assigned window — 24
 //     bytes per entry instead of a 32-byte key struct), while the cold
 //     fields (slot id, the cache-line-sized callback) sit in parallel
 //     arrays touched only on pop/cancel of that one entry.
-//   * Admission is batched: schedule() parks the event in a small staging
-//     buffer (the handle is live immediately; cancel of a staged event is
-//     O(1) via a sentinel bucket id) and the staged cohort is flushed to
-//     the calendar in bucket-grouped order right before any operation that
-//     needs the dequeue minimum. N same-epoch schedules thus amortize one
-//     capacity check + one bucket touch per target bucket instead of
-//     paying the full insert path N times.
-// Bucketing and staging affect only performance, never order: the dequeue
-// minimum is computed exactly on (time, seq), so runs are bit-for-bit
-// identical to the seed kernel (locked in by tests/determinism_test.cpp).
+//   * There is one path per job: one admission path (schedule), one
+//     callback storage (inline), and one scan (stepUntil) that both step()
+//     and runUntil() use, so each event is found exactly once.
+// Bucketing affects only performance, never order: the dequeue minimum is
+// computed exactly on (time, seq), so runs are bit-for-bit identical to
+// the seed kernel (locked in by tests/determinism_test.cpp).
 //
 // Time is a double in *microseconds* throughout this codebase: the paper's
 // packet service times are hundreds of microseconds, so µs keeps the
@@ -45,7 +41,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -86,29 +81,23 @@ class Simulator {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `fn` (any void() callable) to run at absolute time `at`
-  /// (>= now()). Returns a handle usable with cancel(). The event is
-  /// staged for batched admission; staging is invisible to callers
-  /// (handles are live immediately, ordering is exact).
+  /// Schedules `fn` (any void() callable whose capture fits
+  /// EventCallback's inline buffer) to run at absolute time `at` (>= now()).
+  /// Returns a handle usable with cancel().
   template <typename F>
   EventHandle schedule(SimTime at, F&& fn) {
     AFF_CHECK(at >= now_);
-    const std::uint64_t seq = next_seq_++;
-    const std::uint32_t slot = allocSlot();
+    EventCallback cb(std::forward<F>(fn));
     std::uint64_t assigned = windowOf(at);
     if (assigned < cursor_) assigned = cursor_;  // competes in the current window
-    if (staged_keys_.size() == staged_keys_.capacity()) growStaging();
-    try {
-      staged_fns_.emplace_back(std::forward<F>(fn));  // constructed in place
-    } catch (...) {
-      freeSlot(slot);
-      throw;
-    }
-    staged_keys_.push_back(StagedKey{at, seq, assigned, slot});  // nothrow: reserved
-    slots_[slot] = Slot{seq, kStagedBucket,
-                        static_cast<std::uint32_t>(staged_keys_.size() - 1)};
-    ++live_;
-    if (staged_keys_.size() >= kAdmitBatch) flushAdmissions();
+    const auto bucket = static_cast<std::uint32_t>(assigned & mask_);
+    Bucket& b = buckets_[bucket];
+    b.growFor(1);
+    const std::uint32_t slot = allocSlot();
+    const std::uint64_t seq = next_seq_++;
+    b.appendReserved(at, seq, assigned, slot, std::move(cb));  // nothrow: reserved
+    slots_[slot] = Slot{seq, bucket, static_cast<std::uint32_t>(b.size() - 1)};
+    if (++live_ > 4 * (mask_ + 1)) rebuild();
     return EventHandle(slot, seq);
   }
 
@@ -120,8 +109,7 @@ class Simulator {
 
   /// Cancels a pending event. Returns true if the event was pending (and is
   /// now guaranteed not to run), false if it already ran, was already
-  /// cancelled, or the handle is inert. Works identically on staged and
-  /// admitted events.
+  /// cancelled, or the handle is inert.
   bool cancel(EventHandle h) noexcept;
 
   /// Runs events with timestamp <= `until`; afterwards the clock reads
@@ -135,7 +123,7 @@ class Simulator {
   /// Executes at most one event. Returns false if none pending.
   bool step();
 
-  /// Number of pending (non-cancelled) events, staged or admitted.
+  /// Number of pending (non-cancelled) events.
   [[nodiscard]] std::size_t pendingCount() const noexcept { return live_; }
 
   /// Total events executed so far.
@@ -143,17 +131,12 @@ class Simulator {
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
-  /// Staged-admission flush threshold: large enough that a burst of
-  /// same-epoch schedules (arrival batches, the run() setup loop) amortizes
-  /// the per-bucket capacity checks, small enough that the staging buffer
-  /// stays L1-resident.
-  static constexpr std::size_t kAdmitBatch = 64;
 
   // Structure-of-arrays bucket. The dequeue scan walks at/seq/assigned only
   // (24 dense bytes per entry); slot and the cache-line-sized callback are
   // cold, touched only when an entry is popped, moved, or cancelled. All
-  // five arrays are kept in lockstep (grow() reserves them together so an
-  // enqueue can't be torn by a throwing callback move).
+  // five arrays are kept in lockstep (growFor() reserves them together, so
+  // the append itself cannot throw halfway).
   struct Bucket {
     std::vector<SimTime> at;
     std::vector<std::uint64_t> seq;       // FIFO tie-break
@@ -178,9 +161,7 @@ class Simulator {
       reserveAll(std::max({need, std::size_t{4}, at.capacity() * 2}));
     }
 
-    /// Appends one entry; all capacity must already be reserved except for
-    /// the callback, which is emplaced first so a throw leaves the arrays
-    /// in lockstep.
+    /// Appends one entry into capacity reserved by growFor().
     void appendReserved(SimTime t, std::uint64_t s, std::uint64_t asg, std::uint32_t sl,
                         EventCallback&& fn) noexcept {
       fns.push_back(std::move(fn));
@@ -191,24 +172,12 @@ class Simulator {
     }
   };
   // Handle table entry: seq stamps the generation, (bucket, index) locates
-  // the event for O(1) eager cancellation. bucket == kStagedBucket means
-  // the event still sits in the admission staging buffer at `index`.
-  // Maintained on every entry move.
+  // the event for O(1) eager cancellation. Maintained on every entry move.
   struct Slot {
     std::uint64_t seq = 0;  // 0 = free
     std::uint32_t bucket = 0;
     std::uint32_t index = 0;
   };
-  // A staged (scheduled but not yet admitted) event's hot fields; the
-  // callback rides in the parallel staged_fns_ array.
-  struct StagedKey {
-    SimTime at;
-    std::uint64_t seq;
-    std::uint64_t assigned;
-    std::uint32_t slot;
-  };
-
-  static constexpr std::uint32_t kStagedBucket = ~std::uint32_t{0};
 
   [[nodiscard]] std::uint64_t windowOf(SimTime at) const noexcept {
     return static_cast<std::uint64_t>(at * inv_width_);
@@ -233,12 +202,6 @@ class Simulator {
     free_head_ = slot;
   }
 
-  void growStaging() {
-    const std::size_t cap = std::max<std::size_t>(16, staged_keys_.capacity() * 2);
-    staged_fns_.reserve(cap);
-    staged_keys_.reserve(cap);
-  }
-
   /// Swap-removes bucket entry `index` (all five arrays), fixing the moved
   /// entry's slot.
   void removeEntry(Bucket& b, std::uint32_t bucket, std::uint32_t index) noexcept {
@@ -260,37 +223,28 @@ class Simulator {
     b.fns.pop_back();
   }
 
-  /// Admits every staged event to the calendar, grouped by target bucket so
-  /// a cohort pays one capacity check per bucket. Called before any
-  /// operation that needs the dequeue minimum; a no-op when nothing is
-  /// staged. May trigger rebuild() when the live population outgrows the
-  /// ring.
-  void flushAdmissions();
-
   /// Index of the (at, seq)-minimum entry of `b` whose window has arrived
   /// (assigned == cursor_); -1 if none.
   [[nodiscard]] int minQualifying(const Bucket& b) const noexcept;
 
-  /// Smallest assigned window over all pending events (live_ must be > 0
-  /// and staging empty).
+  /// Smallest assigned window over all pending events (live_ must be > 0).
   [[nodiscard]] std::uint64_t minAssigned() const noexcept;
 
   /// Reacts to a full empty pass of the ring: jumps the cursor to the next
   /// populated window, or retunes the calendar if this keeps happening.
   void onEmptyRotation();
 
-  /// Pops the earliest event into (at, fn); false if none. The event's slot
-  /// is released before returning, so from the callback's point of view the
-  /// event is no longer pending (cancel on it fails).
-  bool popNext(SimTime& at, EventCallback& fn);
-  /// Time of the earliest pending event; false if none.
-  bool peekTime(SimTime& at);
+  /// Runs the earliest pending event if its time is <= `until`; false if
+  /// there is none. The one dequeue scan: step() and runUntil() both call
+  /// it, so each event is found once. The event's slot is released before
+  /// its callback runs, so from the callback's point of view the event is
+  /// no longer pending (cancel on it fails).
+  bool stepUntil(SimTime until);
 
   void initBuckets(std::size_t nbuckets, double width);
   /// Re-buckets every pending event with a bucket count sized to the live
   /// population and a width retuned to its time span. Called on growth and
   /// on empty-year rotations (cheap and rare; amortized O(1) per event).
-  /// Requires an empty staging buffer.
   void rebuild();
 
   std::vector<Bucket> buckets_;
@@ -305,11 +259,6 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  // Batched-admission staging buffer (keys + parallel callbacks) and the
-  // scratch index array flushAdmissions() sorts to group by target bucket.
-  std::vector<StagedKey> staged_keys_;
-  std::vector<EventCallback> staged_fns_;
-  std::vector<std::uint32_t> admit_order_;
 };
 
 }  // namespace affinity

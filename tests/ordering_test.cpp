@@ -79,6 +79,13 @@ struct Battery {
   }
 };
 
+/// Spins until the battery's checker has seen `n` deliveries. The checker
+/// is mutex-guarded, so this is safe while workers run; engine.stats() is
+/// not (it merges per-worker arrays their owner threads write).
+void waitObserved(const Battery& b, std::uint64_t n) {
+  while (b.checker.report().observed < n) std::this_thread::yield();
+}
+
 const net::NicDispatchMode kAllModes[] = {net::NicDispatchMode::kDirect,
                                           net::NicDispatchMode::kRss,
                                           net::NicDispatchMode::kFlowDirector,
@@ -175,7 +182,7 @@ TEST(FlowDirectorReordering, PinMigrationReordersAStream) {
   for (std::uint64_t seq = 5; seq < 10; ++seq)
     ASSERT_TRUE(engine.submit(WorkItem{frameFor(s), s, {}, seq}));
   // Let the new home deliver the post-migration frames first.
-  while (engine.stats().delivered < 5) std::this_thread::yield();
+  waitObserved(b, 5);
   engine.stop();  // reconciles the stranded pre-migration frames — late
 
   const net::OrderingReport r = b.checker.report();
@@ -280,7 +287,7 @@ TEST(StealAffinity, IdleWorkerStealsAStrandedQueueInOrder) {
   constexpr std::uint64_t kFrames = 100;
   for (std::uint64_t seq = 0; seq < kFrames; ++seq)
     ASSERT_TRUE(engine.submit(WorkItem{frameFor(0), 0, {}, seq}));  // stream 0 -> worker 0
-  while (engine.stats().delivered < kFrames - 1) std::this_thread::yield();
+  waitObserved(b, kFrames - 1);
   engine.stop();
 
   const EngineStats s = engine.stats();
@@ -305,7 +312,7 @@ TEST(StealAffinity, StealingUnderFlowDirectorMovesThePin) {
   engine.injectWorkerKill(0);
   for (std::uint64_t seq = 0; seq < 50; ++seq)
     ASSERT_TRUE(engine.submit(WorkItem{frameFor(s), s, {}, seq}));
-  while (engine.stats().delivered < 49) std::this_thread::yield();
+  waitObserved(b, 49);
   EXPECT_EQ(engine.route(s), 1u) << "the pin must have followed the thief";
   engine.stop();
   const EngineStats st = engine.stats();
@@ -329,7 +336,7 @@ TEST(StealAffinity, StealingUnderTransportFriendlyMovesThePinOnlyAfterDrain) {
   engine.injectWorkerKill(0);
   for (std::uint64_t seq = 0; seq < 50; ++seq)
     ASSERT_TRUE(engine.submit(WorkItem{frameFor(s), s, {}, seq}));
-  while (engine.stats().delivered < 49) std::this_thread::yield();
+  waitObserved(b, 49);
   engine.stop();
 
   const EngineStats st = engine.stats();
@@ -361,8 +368,9 @@ TEST(TransportFriendlyOrdering, ComposesWithIpsWatchdogFailover) {
   for (std::uint64_t seq = 0; seq < 50; ++seq)
     ASSERT_TRUE(engine.submit(WorkItem{frameFor(s), s, {}, seq}));
   engine.injectWorkerKill(0);
-  // Wait for the watchdog to declare the failure and re-home the stream.
-  while (engine.stats().worker_failures < 1) std::this_thread::yield();
+  // Wait for the watchdog to declare the failure and re-home the stream
+  // (route() follows the atomic failover redirect).
+  while (engine.workerOf(s) == 0) std::this_thread::yield();
   for (std::uint64_t seq = 50; seq < 100; ++seq)
     ASSERT_TRUE(engine.submit(WorkItem{frameFor(s), s, {}, seq}));
   engine.stop();
@@ -417,7 +425,7 @@ Verdict runtimeVerdict(net::NicDispatchMode mode) {
   // Only Flow Director moves the pin immediately — there the new home must
   // deliver the post-migration frames before stop() reconciles the prefix.
   if (mode == net::NicDispatchMode::kFlowDirector)
-    while (engine.stats().delivered < 5) std::this_thread::yield();
+    waitObserved(b, 5);
   engine.stop();
 
   EXPECT_TRUE(engine.stats().conserved());

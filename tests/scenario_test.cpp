@@ -157,6 +157,28 @@ TEST(ScenarioTest, NetDispatchSectionParsed) {
   EXPECT_NE(error.find("tfn_window"), std::string::npos);
 }
 
+TEST(ScenarioTest, RejectsOutOfRangeIntegerKeys) {
+  // Integer keys stored in unsigned fields are range-checked when parsed:
+  // a negative or oversized value must fail with the key's name instead of
+  // wrapping into a huge (or, past 2^32, a small and plausible) count.
+  struct Case {
+    const char* text;
+    const char* key;
+  };
+  const Case cases[] = {
+      {"[policy]\nparadigm = ips\nstacks = -1\n", "policy.stacks"},
+      {"[net]\ndispatch = tfn\ntfn_window = -1\n", "net.tfn_window"},
+      {"[workload]\nstreams = -1\n", "workload.streams"},
+      {"[machine]\nprocessors = 4294967304\n", "machine.processors"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::string error;
+    EXPECT_FALSE(scenarioFrom(c.text, &error).has_value());
+    EXPECT_NE(error.find(c.key), std::string::npos) << error;
+  }
+}
+
 TEST(ScenarioTest, RejectsAdaptiveWithoutHybrid) {
   std::string error;
   EXPECT_FALSE(

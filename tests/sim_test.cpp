@@ -4,6 +4,8 @@
 
 #include <array>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -171,22 +173,35 @@ TEST(Simulator, SparseFarApartEventsStayOrdered) {
   EXPECT_DOUBLE_EQ(sim.now(), 3.0e9);
 }
 
-TEST(Simulator, OversizedCaptureRunsAndCancels) {
-  // A capture too big for EventCallback's inline buffer takes the pooled
-  // heap path; both the invoke and the cancel (destroy) sides must work.
+// EventCallback stores captures inline only: a capture one byte too large
+// for the buffer must not compile, rather than silently take a slower path.
+struct Oversized {
+  std::array<unsigned char, EventCallback::kInlineSize + 1> bytes;
+  void operator()() const {}
+};
+static_assert(!std::is_constructible_v<EventCallback, Oversized>);
+
+TEST(Simulator, FullInlineCaptureRunsAndCancels) {
+  // A capture that fills the inline buffer exactly, with a non-trivial
+  // member so the relocate/destroy side of the ops table runs too: the
+  // executed callback and the cancelled one must both be destroyed.
   Simulator sim;
-  std::array<double, 16> big{};
-  big.fill(1.0);
+  auto token = std::make_shared<int>(0);
   double sum = 0.0;
-  sim.schedule(1.0, [big, &sum] {
-    for (double v : big) sum += v;
-  });
-  EventHandle doomed = sim.schedule(2.0, [big, &sum] {
-    for (double v : big) sum += 100.0 * v;
-  });
+  const auto add = [&token, out = &sum](std::array<double, 3> pad) {
+    return [token, pad, out] {
+      for (double v : pad) *out += v;
+    };
+  };
+  static_assert(sizeof(add({})) == EventCallback::kInlineSize);
+  sim.schedule(1.0, add({1.0, 2.0, 3.0}));
+  EventHandle doomed = sim.schedule(2.0, add({100.0, 200.0, 300.0}));
+  EXPECT_EQ(token.use_count(), 3);
   EXPECT_TRUE(sim.cancel(doomed));
+  EXPECT_EQ(token.use_count(), 2);  // the cancelled capture is gone
   sim.runAll();
-  EXPECT_DOUBLE_EQ(sum, 16.0);
+  EXPECT_DOUBLE_EQ(sum, 6.0);
+  EXPECT_EQ(token.use_count(), 1);  // and so is the executed one
 }
 
 TEST(Simulator, CancellationChurnStress) {
@@ -232,16 +247,17 @@ TEST(Simulator, CancellationChurnStress) {
   EXPECT_LT(cancelled, recs.size());
 }
 
-// --- batched-admission edge cases -----------------------------------------
+// --- admission edge cases --------------------------------------------------
 //
-// schedule() stages events in a small buffer (flushed at 64, or before any
-// dequeue); these tests straddle that boundary on purpose: ties that span
-// staged and admitted cohorts, cancels that hit the staging buffer, and
-// calendar-year rollover with a cohort still staged.
+// schedule() appends straight to a calendar bucket and rebuilds the
+// calendar once the population outgrows the ring; these tests straddle
+// those rebuilds on purpose: ties that span a rebuild, cancels of
+// just-scheduled events among same-time neighbours, and calendar-year
+// rollover with whole cohorts scheduled far ahead of the cursor.
 
 TEST(Simulator, SameTimestampOrderStableAcrossAdmissionBatches) {
-  // 200 events at one timestamp crosses the flush threshold (64) three
-  // times, so the tie cohort is split across staged and admitted storage;
+  // 200 events at one timestamp outgrow the ring twice (at 65 and 129
+  // pending), so the tie cohort is re-bucketed while it is scheduled;
   // FIFO order must still be exactly schedule order.
   Simulator sim;
   std::vector<int> order;
@@ -252,9 +268,9 @@ TEST(Simulator, SameTimestampOrderStableAcrossAdmissionBatches) {
 }
 
 TEST(Simulator, SameTimestampInterleavedWithEarlierEventStaysStable) {
-  // An earlier event forces a flush + dequeue while a same-time cohort is
-  // only partially staged; later same-time schedules (from inside a
-  // callback, admission-wise "fresh") must still run after earlier ones.
+  // An earlier event is dequeued while only half of a same-time cohort is
+  // scheduled; the other half (scheduled from inside that callback) must
+  // still run after the earlier-scheduled ones.
   Simulator sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) sim.schedule(20.0, [&order, i] { order.push_back(i); });
@@ -267,9 +283,9 @@ TEST(Simulator, SameTimestampInterleavedWithEarlierEventStaysStable) {
 }
 
 TEST(Simulator, CancelStagedEventBeforeAdmission) {
-  // Cancel fires while the event still sits in the staging buffer (no
-  // dequeue has happened since schedule), exercising the sentinel-bucket
-  // swap-remove path; the handle then stays dead.
+  // Cancel fires before any dequeue has happened since schedule, on an
+  // entry in the middle of its bucket, exercising the bucket swap-remove
+  // path; the handle then stays dead.
   Simulator sim;
   bool ran_a = false;
   bool ran_b = false;
@@ -287,9 +303,9 @@ TEST(Simulator, CancelStagedEventBeforeAdmission) {
 }
 
 TEST(Simulator, CancelStagedMiddleOfBatchKeepsCohortOrder) {
-  // Swap-remove inside the staging buffer moves the *last* staged entry
-  // into the cancelled hole; execution order must still follow seq, not
-  // staging position.
+  // Swap-remove inside a bucket moves the bucket's *last* entry into the
+  // cancelled hole; execution order must still follow seq, not bucket
+  // position.
   Simulator sim;
   std::vector<int> order;
   std::vector<EventHandle> handles;
@@ -304,7 +320,7 @@ TEST(Simulator, CancelStagedMiddleOfBatchKeepsCohortOrder) {
 TEST(Simulator, EpochRolloverWithStagedCohort) {
   // Events far enough apart that the calendar's year (bucket ring ×
   // width) must roll over repeatedly, scheduled in bursts so whole cohorts
-  // are staged together while the cursor sits in a much earlier year.
+  // land together while the cursor sits in a much earlier year.
   Simulator sim;
   double last = -1.0;
   bool monotone = true;
@@ -316,7 +332,7 @@ TEST(Simulator, EpochRolloverWithStagedCohort) {
   };
   // Burst 1: a dense cluster near t=0 (fills the initial 16-bucket ring).
   for (int i = 0; i < 48; ++i) sim.schedule(0.5 * i, probe);
-  // Burst 2: same-size cohort many "years" out, staged in one batch.
+  // Burst 2: same-size cohort many "years" out, scheduled in one burst.
   for (int i = 0; i < 48; ++i) sim.schedule(100'000.0 + 0.25 * i, probe);
   // Burst 3: between the two, scheduled after — admission order ≠ time order.
   for (int i = 0; i < 48; ++i) sim.schedule(5'000.0 + 1.0 * i, probe);
