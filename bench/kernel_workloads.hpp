@@ -1,6 +1,6 @@
 // kernel_workloads.hpp — the event-kernel microbenchmark workloads, shared
-// by bench/sim_kernel_bench (table / JSON output) and tools/perf_ledger
-// (BENCH_<date>.json trajectory rows). Each workload is a template over the
+// by bench/sim_kernel_bench (table / JSON output) and perfbench (the
+// sim.kernel.* metrics). Each workload is a template over the
 // kernel type so the same code drives the current Simulator and the frozen
 // seed kernel (bench/legacy_simulator.hpp).
 #pragma once

@@ -2,7 +2,7 @@
 // the frozen seed kernel (bench/legacy_simulator.hpp), on schedule / cancel
 // / run mixes shaped like the protocol simulation's event traffic (the
 // workloads themselves live in bench/kernel_workloads.hpp, shared with
-// tools/perf_ledger). Also pins the disabled-tracing guard overhead below
+// perfbench). Also pins the disabled-tracing guard overhead below
 // the 1 % budget from docs/OBSERVABILITY.md. Emits an aligned table on
 // stdout and, with --json, a JSON file so the perf trajectory is tracked
 // across PRs (scripts/run_perf_smoke.sh writes

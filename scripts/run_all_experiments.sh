@@ -18,10 +18,6 @@ for bench in "$build_dir"/bench/*; do
   [[ -f "$bench" && -x "$bench" ]] || continue
   name="$(basename "$bench")"
   echo "== $name"
-  if [[ "$name" == "rt_engine" ]]; then
-    "$bench" --benchmark_min_time=0.1s > "$out_dir/$name.txt" 2>&1 || true
-    continue
-  fi
   "$bench" ${fast_flag:+--fast} > "$out_dir/$name.txt"
   "$bench" ${fast_flag:+--fast} --csv > "$out_dir/$name.csv"
 done

@@ -40,9 +40,7 @@ double ExecTimeModel::f2At(double age_us) const noexcept {
 double ExecTimeModel::f3At(double age_us) const noexcept {
   if (reload_.dl3_us <= 0.0 || age_us <= 0.0) return 0.0;
   if (age_us == kColdAge) return 1.0;
-  if (kind_ == CacheModelKind::kReuse) return rd_->f3(age_us);
-  const double procs = rd_ ? rd_->coRunners() : 1.0;
-  return flush_.f3(age_us, procs);
+  return kind_ == CacheModelKind::kSst ? flush_.f3(age_us) : rd_->f3(age_us);
 }
 
 double ExecTimeModel::reload(double age_us) const noexcept {

@@ -41,10 +41,9 @@ double FlushModel::f2(double x_us) const noexcept {
                            machine_.l2.associativity);
 }
 
-double FlushModel::f3(double x_us, double issuing_procs) const noexcept {
+double FlushModel::f3(double x_us) const noexcept {
   if (machine_.llc.size_bytes == 0) return 0.0;
-  const double u =
-      uniqueLines(sst_, refs(x_us) * issuing_procs, machine_.llc.line_bytes);
+  const double u = uniqueLines(sst_, refs(x_us), machine_.llc.line_bytes);
   return fractionDisplaced(u, static_cast<double>(machine_.llc.sets()),
                            machine_.llc.associativity);
 }

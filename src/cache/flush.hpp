@@ -46,10 +46,9 @@ class FlushModel {
   /// Fraction flushed from the unified L2 after x_us.
   [[nodiscard]] double f2(double x_us) const noexcept;
 
-  /// Fraction flushed from the shared LLC after x_us, scaling the displacing
-  /// reference stream by `issuing_procs` (every processor sharing the LLC
-  /// keeps issuing during the gap). 0 when the machine has no LLC.
-  [[nodiscard]] double f3(double x_us, double issuing_procs = 1.0) const noexcept;
+  /// Fraction flushed from the shared LLC after x_us. 0 when the machine
+  /// has no LLC.
+  [[nodiscard]] double f3(double x_us) const noexcept;
 
   [[nodiscard]] const MachineParams& machine() const noexcept { return machine_; }
   [[nodiscard]] const SstParams& sst() const noexcept { return sst_; }

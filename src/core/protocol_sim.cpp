@@ -4,6 +4,25 @@
 
 namespace affinity {
 
+namespace {
+
+// Adaptive-hybrid classifier thresholds (SimConfig::adaptive_hybrid).
+constexpr double kAdaptRateThresholdPerUs = 0.004;  ///< ≈ half a processor's capacity
+constexpr std::uint32_t kAdaptBatchThreshold = 4;   ///< max batch seen in a window
+/// Hysteresis: consecutive quiet windows required before a hot stream is
+/// demoted back to IPS (bursty streams are quiet between bursts; demoting
+/// eagerly causes flapping).
+constexpr std::uint32_t kAdaptDemoteWindows = 4;
+/// Burstiness detector: an arrival is "clustered" when it follows the
+/// stream's previous arrival within this gap (packet trains, video
+/// frames). A stream whose clustered fraction exceeds the threshold in a
+/// window (with at least 8 arrivals) is classified hot even if its rate is
+/// modest — exactly the streams whose bursts serialize on an IPS stack.
+constexpr double kAdaptClusterGapUs = 100.0;
+constexpr double kAdaptClusterFraction = 0.5;
+
+}  // namespace
+
 ProtocolSim::ProtocolSim(SimConfig config, const ExecTimeModel& model, const StreamSet& streams)
     : config_(config),
       model_(model),
@@ -168,7 +187,7 @@ void ProtocolSim::scheduleArrivals(std::uint32_t stream) {
       if (batch > window_max_batch_[stream]) window_max_batch_[stream] = batch;
       const double now = sim_.now();
       if (last_arrival_time_[stream] >= 0.0 &&
-          now - last_arrival_time_[stream] <= config_.adapt_cluster_gap_us)
+          now - last_arrival_time_[stream] <= kAdaptClusterGapUs)
         ++window_clustered_[stream];
       window_clustered_[stream] += batch - 1;  // co-arrivals are clustered
       last_arrival_time_[stream] = now;
@@ -642,9 +661,9 @@ void ProtocolSim::adaptStreams() {
     const bool clustered =
         window_arrivals_[s] >= 8 &&
         static_cast<double>(window_clustered_[s]) >
-            config_.adapt_cluster_fraction * static_cast<double>(window_arrivals_[s]);
-    const bool hot = rate > config_.adapt_rate_threshold_per_us ||
-                     window_max_batch_[s] >= config_.adapt_batch_threshold || clustered;
+            kAdaptClusterFraction * static_cast<double>(window_arrivals_[s]);
+    const bool hot = rate > kAdaptRateThresholdPerUs ||
+                     window_max_batch_[s] >= kAdaptBatchThreshold || clustered;
     if (hot) {
       quiet_windows_[s] = 0;
       if (!uses_locking_[s]) {
@@ -658,7 +677,7 @@ void ProtocolSim::adaptStreams() {
     } else if (uses_locking_[s]) {
       // Demote only after a sustained quiet spell (hysteresis): bursty
       // streams are quiet between bursts.
-      if (++quiet_windows_[s] >= config_.adapt_demote_windows) {
+      if (++quiet_windows_[s] >= kAdaptDemoteWindows) {
         uses_locking_[s] = 0;
         quiet_windows_[s] = 0;
         ++reclassifications_;

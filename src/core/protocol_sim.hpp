@@ -113,24 +113,12 @@ struct SimConfig {
   // --- adaptive hybrid (paradigm == kHybrid) -------------------------------
   // Instead of a fixed hybrid_locking_streams list, reclassify streams
   // periodically from their observed arrival behavior: streams whose
-  // windowed rate or burst size exceeds the thresholds are routed through
-  // the Locking stack (multi-processor burst absorption); the rest keep the
-  // lockless IPS fast path. This automates the TR's hybrid proposal.
+  // windowed rate or burst size exceeds the thresholds (constants in
+  // protocol_sim.cpp) are routed through the Locking stack (multi-processor
+  // burst absorption); the rest keep the lockless IPS fast path. This
+  // automates the TR's hybrid proposal.
   bool adaptive_hybrid = false;
   double adapt_interval_us = 50'000.0;
-  double adapt_rate_threshold_per_us = 0.004;  ///< ≈ half a processor's capacity
-  std::uint32_t adapt_batch_threshold = 4;     ///< max batch seen in a window
-  /// Hysteresis: consecutive quiet windows required before a hot stream is
-  /// demoted back to IPS (bursty streams are quiet between bursts; demoting
-  /// eagerly causes flapping).
-  std::uint32_t adapt_demote_windows = 4;
-  /// Burstiness detector: an arrival is "clustered" when it follows the
-  /// stream's previous arrival within this gap (packet trains, video
-  /// frames). A stream whose clustered fraction exceeds the threshold in a
-  /// window (with at least 8 arrivals) is classified hot even if its rate is
-  /// modest — exactly the streams whose bursts serialize on an IPS stack.
-  double adapt_cluster_gap_us = 100.0;
-  double adapt_cluster_fraction = 0.5;
 
   // --- NIC dispatch front-end + work stealing ------------------------------
   /// Receive-side classifier ahead of the scheduler: kDirect reproduces the

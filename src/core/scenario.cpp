@@ -101,8 +101,20 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
     return false;
   out.steal_penalty_us = cfg.getDouble("policy.steal_penalty_us", 5.0);
 
+  // A key that only one mode reads is an error under any other mode: a
+  // scenario that sets it would otherwise run with the key silently ignored.
+  if (cfg.has("net.tfn_window") && out.dispatch != net::NicDispatchMode::kTransportFriendly)
+    return fail(error, "net.tfn_window requires net.dispatch = tfn");
+  for (const char* key :
+       {"policy.steal_batch", "policy.steal_min_queue", "policy.steal_penalty_us"}) {
+    if (cfg.has(key) && out.policy.locking != LockingPolicy::kStealAffinity)
+      return fail(error, std::string(key) + " requires policy.locking = steal-affinity");
+  }
+
   const std::string hybrid_list = cfg.getString("policy.hybrid_locking_streams", "");
   if (!hybrid_list.empty()) {
+    if (out.policy.paradigm != Paradigm::kHybrid)
+      return fail(error, "policy.hybrid_locking_streams requires policy.paradigm = hybrid");
     std::stringstream ss(hybrid_list);
     std::string item;
     while (std::getline(ss, item, ',')) {

@@ -193,6 +193,32 @@ TEST(GoldenFigures, Fig12BurstinessCrossover) {
   EXPECT_GT(i8 / l8, 2.0) << "IPS must be >= 2x worse at batch size 8";
 }
 
+// Figure 12's bursty workload under steal-affinity, A-B on the NIC
+// front-end: Flow Director (arXiv:1106.0443) migrates a stream's pin on
+// every steal; the Transport-Friendly NIC (arXiv:1106.0445) repins only
+// once the stream's in-flight prefix drains. Closing the reordering
+// pathology must cost no delay, and it must cut the pin moves by an order
+// of magnitude. Delivery order itself is pinned by ordering_test.
+TEST(GoldenFigures, Fig12TfnMatchesFlowDirectorDelayWithFewerMigrations) {
+  const auto model = ExecTimeModel::standard();
+  const auto streams = makeBatchStreams(16, 0.03, 8.0);
+  SimConfig c = defaultSimConfig();
+  c.num_procs = 8;
+  c.policy.locking = LockingPolicy::kStealAffinity;
+  c.seed = 1;
+  c.warmup_us = 20'000.0;
+  c.measure_us = 120'000.0;
+  c.dispatch = net::NicDispatchMode::kFlowDirector;
+  const RunMetrics fdir = runOnce(c, model, streams);
+  c.dispatch = net::NicDispatchMode::kTransportFriendly;
+  const RunMetrics tfn = runOnce(c, model, streams);
+
+  EXPECT_NEAR(tfn.mean_delay_us / fdir.mean_delay_us, 1.0, 0.05)
+      << "TFN delay " << tfn.mean_delay_us << " us vs FDir " << fdir.mean_delay_us << " us";
+  EXPECT_GT(fdir.flow_migrations, 10 * tfn.tfn_applied)
+      << "FDir migrations " << fdir.flow_migrations << " vs TFN repins " << tfn.tfn_applied;
+}
+
 // Figure 13: single-stream capacity vs processor count. A single stream's
 // IPS capacity is pinned near one processor's throughput regardless of
 // machine size, while Locking scales with processors.

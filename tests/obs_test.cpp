@@ -1,8 +1,8 @@
 // obs_test — the observability layer: instrument semantics, registry
 // find-or-create, JSON export validity, Chrome-trace structural guarantees
 // (sorted timestamps, matched B/E pairs — what Perfetto requires), the
-// process-global session guard, the perf ledger, and a ProtocolSim run
-// exporting both metrics and a virtual-time trace.
+// process-global session guard, and a ProtocolSim run exporting both
+// metrics and a virtual-time trace.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -455,38 +454,6 @@ TEST(Trace, ProtocolSimExportsValidTraceAndMetrics) {
   expectStructurallyValidTrace(text);
   EXPECT_NE(text.find("service"), std::string::npos) << "sim spans must be named";
   fs::remove(path);
-}
-
-// ---- perf ledger ----------------------------------------------------------
-
-TEST(Ledger, AppendCreatesAndGrowsValidJsonArray) {
-  const std::string path = tempPath("obs_test_ledger.json");
-  fs::remove(path);
-  EXPECT_EQ(ledgerRowCount(path), 0u);
-
-  ASSERT_TRUE(appendLedgerRow(path, R"({"date": "2026-08-06", "eps": 1000})"));
-  EXPECT_EQ(ledgerRowCount(path), 1u);
-  ASSERT_TRUE(appendLedgerRow(path, R"({"date": "2026-08-07", "eps": 1100})"));
-  EXPECT_EQ(ledgerRowCount(path), 2u);
-
-  const std::string text = readFile(path);
-  EXPECT_TRUE(JsonChecker(text).valid()) << text;
-  EXPECT_LT(text.find("2026-08-06"), text.find("2026-08-07")) << "rows append in order";
-  fs::remove(path);
-}
-
-TEST(Ledger, CorruptFilePreservedAndRestarted) {
-  const std::string path = tempPath("obs_test_ledger_corrupt.json");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not json";
-  }
-  ASSERT_TRUE(appendLedgerRow(path, R"({"fresh": 1})"));
-  EXPECT_EQ(ledgerRowCount(path), 1u);
-  EXPECT_TRUE(JsonChecker(readFile(path)).valid());
-  EXPECT_EQ(readFile(path + ".corrupt"), "this is not json");
-  fs::remove(path);
-  fs::remove(path + ".corrupt");
 }
 
 }  // namespace

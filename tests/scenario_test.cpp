@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <initializer_list>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -157,26 +158,50 @@ TEST(ScenarioTest, NetDispatchSectionParsed) {
   EXPECT_NE(error.find("tfn_window"), std::string::npos);
 }
 
-TEST(ScenarioTest, RejectsOutOfRangeIntegerKeys) {
-  // Integer keys stored in unsigned fields are range-checked when parsed:
-  // a negative or oversized value must fail with the key's name instead of
-  // wrapping into a huge (or, past 2^32, a small and plausible) count.
-  struct Case {
-    const char* text;
-    const char* key;
-  };
-  const Case cases[] = {
-      {"[policy]\nparadigm = ips\nstacks = -1\n", "policy.stacks"},
-      {"[net]\ndispatch = tfn\ntfn_window = -1\n", "net.tfn_window"},
-      {"[workload]\nstreams = -1\n", "workload.streams"},
-      {"[machine]\nprocessors = 4294967304\n", "machine.processors"},
-  };
-  for (const Case& c : cases) {
+// Each case's scenario text must fail to parse with an error naming `key`.
+struct RejectCase {
+  const char* text;
+  const char* key;
+};
+
+void expectRejectedNamingKey(std::initializer_list<RejectCase> cases) {
+  for (const RejectCase& c : cases) {
     SCOPED_TRACE(c.text);
     std::string error;
     EXPECT_FALSE(scenarioFrom(c.text, &error).has_value());
     EXPECT_NE(error.find(c.key), std::string::npos) << error;
   }
+}
+
+TEST(ScenarioTest, RejectsOutOfRangeIntegerKeys) {
+  // Integer keys stored in unsigned fields are range-checked when parsed:
+  // a negative or oversized value must fail with the key's name instead of
+  // wrapping into a huge (or, past 2^32, a small and plausible) count.
+  expectRejectedNamingKey({
+      {"[policy]\nparadigm = ips\nstacks = -1\n", "policy.stacks"},
+      {"[net]\ndispatch = tfn\ntfn_window = -1\n", "net.tfn_window"},
+      {"[workload]\nstreams = -1\n", "workload.streams"},
+      {"[machine]\nprocessors = 4294967304\n", "machine.processors"},
+  });
+}
+
+TEST(ScenarioTest, RejectsKeysTheSelectedModeIgnores) {
+  // A key read by one mode only must fail, with its name, under any other
+  // mode instead of running with the key silently ignored.
+  expectRejectedNamingKey({
+      {"[net]\ndispatch = direct\ntfn_window = 8\n", "net.tfn_window"},
+      {"[net]\ndispatch = fdir\ntfn_window = 8\n", "net.tfn_window"},
+      {"[policy]\nlocking = mru\nsteal_batch = 4\n", "policy.steal_batch"},
+      {"[policy]\nlocking = wired-streams\nsteal_min_queue = 2\n", "policy.steal_min_queue"},
+      {"[policy]\nsteal_penalty_us = 5\n", "policy.steal_penalty_us"},
+      {"[policy]\nparadigm = locking\nhybrid_locking_streams = 0,3\n",
+       "policy.hybrid_locking_streams"},
+      {"[policy]\nparadigm = ips\nhybrid_locking_streams = 1\n",
+       "policy.hybrid_locking_streams"},
+  });
+  EXPECT_TRUE(scenarioFrom("[policy]\nlocking = steal-affinity\nsteal_batch = 4\n"
+                           "steal_min_queue = 2\nsteal_penalty_us = 5\n")
+                  .has_value());
 }
 
 TEST(ScenarioTest, RejectsAdaptiveWithoutHybrid) {
