@@ -32,8 +32,10 @@ jobs="${CTEST_PARALLEL_LEVEL:-$(nproc)}"
 # ordering_test drives every engine shape and NIC mode with live workers
 # (its waits poll only race-free signals); sim_test covers the event
 # kernel's cancel, swap-remove and rebuild paths under ASan/UBSan.
+# sweep_runner_test and determinism_test are the simulator's threaded code:
+# SweepRunner::map and the sharded parallel runs it drives.
 suites=(runtime_test chaos_test proto_test tcp_test property_test arena_test ordering_test
-        sim_test)
+        sim_test sweep_runner_test determinism_test)
 
 declare -A verdict
 

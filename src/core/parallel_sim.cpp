@@ -1,13 +1,10 @@
 #include "core/parallel_sim.hpp"
 
 #include <algorithm>
-#include <barrier>
-#include <exception>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "analytic/lookahead.hpp"
+#include "core/sweep_runner.hpp"
 #include "obs/metrics.hpp"
 #include "stats/batch_means.hpp"
 #include "stats/histogram.hpp"
@@ -79,54 +76,18 @@ RunMetrics ParallelProtocolSim::run(const SimConfig& config, const ExecTimeModel
   }
   const unsigned num_shards = shards_wanted;
 
-  // Epoch length: many lookaheads per barrier. Correctness does not depend
-  // on the choice — eligible shards share no simulation state at all — it
-  // only amortizes barrier overhead while keeping the protocol shaped like
-  // a classic conservative PDES loop (docs/PARALLEL_SIM.md).
-  const double lookahead = minServiceTimeUs(model, config.fixed_overhead_us);
-  out.lookahead_us = lookahead;
-  const double epoch_us = std::max(lookahead, 1.0) * 1024.0;
-  const double end_time = config.warmup_us + config.measure_us;
-
+  // Eligible shards share no simulation state, so each runs to completion
+  // on its own thread; the commit-log replay below restores the serial
+  // update order of the statistics.
   std::vector<std::unique_ptr<ProtocolSim>> shard;
   shard.reserve(num_shards);
   for (unsigned i = 0; i < num_shards; ++i) {
     shard.push_back(std::make_unique<ProtocolSim>(config, model, streams));
     shard.back()->shardForParallel(i, num_shards);
   }
-
-  std::vector<std::exception_ptr> errors(num_shards);
-  std::uint64_t epochs = 0;
-  {
-    std::barrier sync(static_cast<std::ptrdiff_t>(num_shards));
-    const auto worker = [&](unsigned i) {
-      try {
-        shard[i]->beginRun();
-        double t = 0.0;
-        while (t < end_time) {
-          t = std::min(t + epoch_us, end_time);
-          shard[i]->advanceTo(t);
-          sync.arrive_and_wait();
-          if (i == 0) ++epochs;
-        }
-      } catch (...) {
-        errors[i] = std::current_exception();
-        sync.arrive_and_drop();  // release peers; later phases expect one fewer
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(num_shards - 1);
-    for (unsigned i = 1; i < num_shards; ++i) pool.emplace_back(worker, i);
-    worker(0);
-    for (auto& th : pool) th.join();
-  }
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-
-  std::vector<RunMetrics> sm;
-  sm.reserve(num_shards);
-  for (auto& s : shard) sm.push_back(s->finishRun());  // per-shard conservation
+  // Each run() ends with its shard's conservation check.
+  const std::vector<RunMetrics> sm =
+      SweepRunner(num_shards).map(num_shards, [&](std::size_t i) { return shard[i]->run(); });
 
   {
     // Residual flow-table hazard: windows can overflow even below capacity
@@ -226,7 +187,6 @@ RunMetrics ParallelProtocolSim::run(const SimConfig& config, const ExecTimeModel
 
   out.parallel = true;
   out.shards = num_shards;
-  out.epochs = epochs;
 
   Histogram hist{0.1, 8, 32};
   std::uint64_t arrived = 0;
@@ -257,6 +217,7 @@ RunMetrics ParallelProtocolSim::run(const SimConfig& config, const ExecTimeModel
     flow_occupancy += sm[i].flow_occupancy;
   }
 
+  const double end_time = config.warmup_us + config.measure_us;
   RunMetrics m;
   m.mean_delay_us = delay.mean();
   m.p50_delay_us = hist.quantile(0.50);
@@ -301,8 +262,6 @@ void exportParallelRunInfo(const ParallelRunInfo& info, obs::MetricsRegistry& re
                            const std::string& prefix) {
   reg.gauge(prefix + ".engaged").set(info.parallel ? 1.0 : 0.0);
   reg.gauge(prefix + ".shards").set(static_cast<double>(info.shards));
-  reg.gauge(prefix + ".epochs").set(static_cast<double>(info.epochs));
-  reg.gauge(prefix + ".lookahead_us").set(info.lookahead_us);
   reg.gauge(prefix + ".replay_fallback").set(info.replay_fallback ? 1.0 : 0.0);
 }
 

@@ -1,5 +1,5 @@
-// parallel_sim.hpp — conservative (lookahead + epoch barrier) parallel
-// execution of ProtocolSim, bit-identical to the serial run.
+// parallel_sim.hpp — sharded parallel execution of ProtocolSim,
+// bit-identical to the serial run.
 //
 // The eligible configurations — IPS with wired stacks, stateless NIC
 // dispatch, no shared bus, no lock path, no observation hooks — decompose
@@ -8,10 +8,10 @@
 // its own history. Partitioning the simulated processors across shards
 // (proc % shards) therefore partitions the *entire event graph*; the only
 // state the serial run shares across the partition is the statistics
-// accumulators. Each shard runs its slice of the simulation on its own
-// thread (synchronizing at epoch barriers sized from the analytic minimum
-// service time) and logs every statistics-mutating operation with its
-// virtual timestamp; the coordinator then replays the merged logs into
+// accumulators. Each shard runs its slice of the simulation to completion
+// on its own thread (no synchronization: the shards share no state) and
+// logs every statistics-mutating operation with its virtual timestamp;
+// the coordinator then replays the merged logs into
 // fresh accumulators in serial order. Floating-point statistics come out
 // bit-identical because same-timestamp operations from different shards
 // commute bitwise — except two measured completions, the one case that
@@ -34,10 +34,8 @@ namespace affinity {
 /// How a parallel run was actually executed (introspection for tests and
 /// tools; never affects results).
 struct ParallelRunInfo {
-  bool parallel = false;     ///< shards actually ran on threads
-  unsigned shards = 0;       ///< shard/thread count used
-  std::uint64_t epochs = 0;  ///< barrier synchronizations per shard
-  double lookahead_us = 0.0; ///< analytic minimum service time
+  bool parallel = false;  ///< shards actually ran on threads
+  unsigned shards = 0;    ///< shard/thread count used
   bool replay_fallback = false;  ///< cross-shard completion tie -> serial rerun
   const char* fallback_reason = nullptr;  ///< why serial ran (nullptr if parallel)
 };
@@ -62,7 +60,7 @@ RunMetrics runParallel(const SimConfig& config, const ExecTimeModel& model,
 void exportParallelRunInfo(const ParallelRunInfo& info, obs::MetricsRegistry& reg,
                            const std::string& prefix = "sim.parallel");
 
-/// Implementation: shard construction, the epoch/barrier loop, and the
+/// Implementation: shard construction, the threaded shard runs, and the
 /// commit-log merge/replay. Friend of ProtocolSim.
 class ParallelProtocolSim {
  public:

@@ -694,12 +694,6 @@ void ProtocolSim::adaptStreams() {
 }
 
 RunMetrics ProtocolSim::run() {
-  beginRun();
-  sim_.runUntil(end_time_);
-  return finishRun();
-}
-
-void ProtocolSim::beginRun() {
   AFF_CHECK(!ran_);
   ran_ = true;
   end_time_ = config_.warmup_us + config_.measure_us;
@@ -733,9 +727,9 @@ void ProtocolSim::beginRun() {
   });
   const double mid = config_.warmup_us + config_.measure_us * 0.5;
   sim_.schedule(mid, [this] { backlog_mid_ = backlogNow(); });
-}
 
-RunMetrics ProtocolSim::finishRun() {
+  sim_.runUntil(end_time_);
+
   // Conservation: every arrived packet is done, still in the system, or was
   // refused by the flow-table shedding layer (never silently lost).
   AFF_CHECK(arrived_ == completed_total_ + backlogNow() + flow_shed_);

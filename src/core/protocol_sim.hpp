@@ -81,7 +81,7 @@ struct SimConfig {
   double measure_us = 2'000'000.0;  ///< measurement window
   std::uint64_t seed = 1;
   bool per_stream_stats = false;
-  /// Conservative-parallel execution (docs/PARALLEL_SIM.md): number of real
+  /// Sharded parallel execution (docs/PARALLEL_SIM.md): number of real
   /// threads to shard the simulated processors across; 0/1 = serial. Honored
   /// by runOnce() via runParallel(); configurations outside the
   /// exactly-decomposable family silently run serially — the results are
@@ -175,7 +175,7 @@ class ProtocolSim {
   RunMetrics run();
 
  private:
-  // Conservative-parallel execution (core/parallel_sim.{hpp,cpp}) constructs
+  // Sharded parallel execution (core/parallel_sim.{hpp,cpp}) constructs
   // one ProtocolSim per shard, restricts each to the streams whose wired
   // processor it owns, and replays the shards' statistics commit logs into
   // fresh accumulators in serial order. docs/PARALLEL_SIM.md carries the
@@ -201,16 +201,9 @@ class ProtocolSim {
   };
 
   /// Restricts this instance to shard `shard` of `num_shards` and turns on
-  /// commit logging. Call before run()/beginRun(); only configurations that
+  /// commit logging. Call before run(); only configurations that
   /// pass parallelEligible() (core/parallel_sim.hpp) decompose exactly.
   void shardForParallel(unsigned shard, unsigned num_shards);
-  /// run() prologue: schedules arrivals (owned streams only in shard mode),
-  /// the warmup reset, and the mid-window backlog snapshot.
-  void beginRun();
-  /// Advances the event loop to virtual time `until` (epoch step).
-  void advanceTo(double until) { sim_.runUntil(until); }
-  /// run() epilogue: conservation check + metric extraction.
-  RunMetrics finishRun();
   [[nodiscard]] bool ownsStream(std::uint32_t stream) const noexcept {
     return !shard_mode_ || owned_stream_[stream] != 0;
   }
@@ -362,7 +355,7 @@ class ProtocolSim {
   std::vector<OnlineStats> per_stream_delay_;
   bool ran_ = false;
 
-  // Conservative-parallel shard state (inert in serial runs).
+  // Sharded-parallel shard state (inert in serial runs).
   bool shard_mode_ = false;
   std::vector<std::uint8_t> owned_stream_;  ///< stream -> owned by this shard
   std::vector<ShardOp> shard_ops_;          ///< commit log, execution order

@@ -1,7 +1,5 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <sstream>
 
 #include "cachesim/rd_capture.hpp"
@@ -21,29 +19,6 @@ bool fail(std::string* error, const std::string& message) {
 // Upper bounds for counts that size per-item state up front.
 constexpr std::int64_t kMaxStacks = std::int64_t{1} << 16;
 constexpr std::int64_t kMaxStreams = std::int64_t{1} << 24;
-
-// Largest value of unsigned type T that an int64 config value can carry.
-template <typename T>
-constexpr std::int64_t maxOf() {
-  return static_cast<std::int64_t>(
-      std::min<std::uint64_t>(std::numeric_limits<T>::max(),
-                              std::numeric_limits<std::int64_t>::max()));
-}
-
-// The one reader for integer keys stored in unsigned fields: reads `key`
-// (`fallback` when absent) and fails with the key's name unless the value
-// lies in [lo, hi], so a negative or oversized value can never wrap.
-template <typename T>
-bool readInt(const ConfigFile& cfg, const std::string& key, std::int64_t fallback, T* out,
-             std::string* error, std::int64_t lo = 0, std::int64_t hi = maxOf<T>()) {
-  const std::int64_t v = cfg.getInt(key, fallback);
-  if (v < lo || v > hi) {
-    return fail(error, key + " = " + std::to_string(v) + " is out of range [" +
-                           std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  *out = static_cast<T>(v);
-  return true;
-}
 
 bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
   const std::string paradigm = cfg.getString("policy.paradigm", "locking");
@@ -123,7 +98,7 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
         id = std::stoll(item);
       } catch (...) {
       }
-      if (id < 0 || id > maxOf<std::uint32_t>())
+      if (id < 0 || id > maxConfigValue<std::uint32_t>())
         return fail(error, "bad stream id '" + item + "' in hybrid_locking_streams");
       out.policy.hybrid_locking_streams.push_back(static_cast<std::uint32_t>(id));
     }

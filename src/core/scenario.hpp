@@ -28,7 +28,7 @@
 //              direct; shed, high_water, low_water, admit_fraction, seed
 //              (bounded flow-state table — docs/ROBUSTNESS.md)
 //   [run]      seed, warmup_us, measure_us, v_us, per_stream, confident,
-//              parallel (conservative-parallel thread count, 0 = serial;
+//              parallel (sharded-parallel thread count, 0 = serial;
 //              bit-identical results either way — docs/PARALLEL_SIM.md)
 #pragma once
 

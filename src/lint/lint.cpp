@@ -191,8 +191,8 @@ const std::map<std::string, std::set<std::string>>& layerDeps() {
       {"lint", {"obs", "util"}},
       {"runtime", {"flow", "net", "obs", "proto", "stats", "util", "workload"}},
       {"core",
-       {"analytic", "cache", "cachesim", "flow", "net", "obs", "proto", "sched", "sim", "stats",
-        "util", "workload"}},
+       {"cache", "cachesim", "flow", "net", "obs", "proto", "sched", "sim", "stats", "util",
+        "workload"}},
   };
   return kDeps;
 }

@@ -18,6 +18,16 @@ void ChecksumAccumulator::add(std::span<const std::uint8_t> bytes) noexcept {
   }
 }
 
+void ChecksumAccumulator::addPseudoHeader(std::uint32_t src, std::uint32_t dst,
+                                          std::uint8_t protocol, std::uint16_t length) noexcept {
+  addWord(static_cast<std::uint16_t>(src >> 16));
+  addWord(static_cast<std::uint16_t>(src));
+  addWord(static_cast<std::uint16_t>(dst >> 16));
+  addWord(static_cast<std::uint16_t>(dst));
+  addWord(protocol);
+  addWord(length);
+}
+
 std::uint16_t ChecksumAccumulator::finish() const noexcept {
   std::uint64_t s = sum_;
   while (s >> 16) s = (s & 0xffff) + (s >> 16);

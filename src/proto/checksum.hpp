@@ -18,6 +18,12 @@ class ChecksumAccumulator {
   /// Adds one 16-bit word in host order (e.g. pseudo-header fields).
   void addWord(std::uint16_t word) noexcept { sum_ += word; }
 
+  /// Adds the IPv4 pseudo-header that UDP and TCP checksums cover (RFC 768,
+  /// RFC 793): source and destination address, zero|protocol, and the
+  /// transport segment's length.
+  void addPseudoHeader(std::uint32_t src, std::uint32_t dst, std::uint8_t protocol,
+                       std::uint16_t length) noexcept;
+
   /// Final folded ones-complement checksum (to store in a header).
   [[nodiscard]] std::uint16_t finish() const noexcept;
 

@@ -1,23 +1,8 @@
 #include "proto/stack.hpp"
 
-#include "proto/checksum.hpp"
-
 namespace affinity {
 
 ProtocolStack::ProtocolStack(HostConfig config)
-    : config_(config),
-      udp_(config.ip, config.verify_udp_checksum),
-      ip_(config.ip, &udp_, config.verify_ip_checksum),
-      fddi_(config.mac, &ip_) {}
-
-ReceiveContext ProtocolStack::receiveFrame(std::span<const std::uint8_t> frame) {
-  rx_packet_.assignFrame(frame);
-  ReceiveContext ctx;
-  fddi_.receive(rx_packet_, ctx);
-  return ctx;
-}
-
-DualProtocolStack::DualProtocolStack(HostConfig config)
     : config_(config),
       udp_(config.ip, config.verify_udp_checksum),
       tcp_(config.ip, config.verify_udp_checksum),
@@ -26,58 +11,11 @@ DualProtocolStack::DualProtocolStack(HostConfig config)
   ip_.registerProtocol(TcpHeader::kProtoTcp, &tcp_);
 }
 
-ReceiveContext DualProtocolStack::receiveFrame(std::span<const std::uint8_t> frame) {
+ReceiveContext ProtocolStack::receiveFrame(std::span<const std::uint8_t> frame) {
   rx_packet_.assignFrame(frame);
   ReceiveContext ctx;
   fddi_.receive(rx_packet_, ctx);
   return ctx;
-}
-
-std::vector<std::uint8_t> buildUdpFrame(const FrameSpec& spec,
-                                        std::span<const std::uint8_t> payload) {
-  const std::size_t udp_len = UdpHeader::kSize + payload.size();
-  const std::size_t ip_len = Ipv4Header::kMinSize + udp_len;
-  const std::size_t frame_len = FddiHeader::kSize + ip_len;
-  std::vector<std::uint8_t> frame(frame_len);
-  std::span<std::uint8_t> out{frame};
-
-  FddiHeader fddi;
-  fddi.dst = spec.dst_mac;
-  fddi.src = spec.src_mac;
-  fddi.encode(out);
-
-  Ipv4Header ip;
-  ip.total_length = static_cast<std::uint16_t>(ip_len);
-  ip.identification = spec.ip_id;
-  ip.ttl = spec.ttl;
-  ip.src = spec.src_ip;
-  ip.dst = spec.dst_ip;
-  ip.encode(out.subspan(FddiHeader::kSize));
-
-  UdpHeader udp;
-  udp.src_port = spec.src_port;
-  udp.dst_port = spec.dst_port;
-  udp.length = static_cast<std::uint16_t>(udp_len);
-  udp.checksum = 0;
-  auto udp_region = out.subspan(FddiHeader::kSize + Ipv4Header::kMinSize);
-  udp.encode(udp_region);
-  if (!payload.empty())
-    std::memcpy(udp_region.data() + UdpHeader::kSize, payload.data(), payload.size());
-
-  if (spec.udp_checksum) {
-    ChecksumAccumulator acc;
-    acc.addWord(static_cast<std::uint16_t>(spec.src_ip >> 16));
-    acc.addWord(static_cast<std::uint16_t>(spec.src_ip));
-    acc.addWord(static_cast<std::uint16_t>(spec.dst_ip >> 16));
-    acc.addWord(static_cast<std::uint16_t>(spec.dst_ip));
-    acc.addWord(Ipv4Header::kProtoUdp);
-    acc.addWord(udp.length);
-    acc.add(std::span<const std::uint8_t>{udp_region.data(), udp_len});
-    std::uint16_t ck = acc.finish();
-    if (ck == 0) ck = 0xffff;  // RFC 768: transmitted 0 means "no checksum"
-    writeBe16(udp_region, 6, ck);
-  }
-  return frame;
 }
 
 }  // namespace affinity

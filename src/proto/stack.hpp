@@ -1,14 +1,14 @@
-// stack.hpp — an assembled UDP/IP/FDDI receive stack + frame builder.
+// stack.hpp — an assembled FDDI/IP/{UDP, TCP} receive stack; includes the
+// send path (FrameSpec, buildUdpFrame) that builds its frames.
 //
 // ProtocolStack is the unit the paper parallelizes: under Locking there is
 // one instance shared by all processors (callers serialize around its shared
 // state); under IPS each stack instance is private to a subset of streams.
 #pragma once
 
-#include <memory>
-
 #include "proto/fddi.hpp"
 #include "proto/ip.hpp"
+#include "proto/send.hpp"
 #include "proto/tcp.hpp"
 #include "proto/udp.hpp"
 
@@ -19,10 +19,11 @@ struct HostConfig {
   MacAddr mac{0x08, 0x00, 0x69, 0x01, 0x02, 0x03};  // SGI OUI, suitably retro
   std::uint32_t ip = 0xc0a80101;                    // 192.168.1.1
   bool verify_ip_checksum = true;
-  bool verify_udp_checksum = true;
+  bool verify_udp_checksum = true;  ///< UDP and TCP
 };
 
-/// One complete receive-side stack: FDDI → IPv4 → UDP → sessions.
+/// One complete receive-side stack: FDDI → IPv4 → {UDP, TCP} → sessions.
+/// IP demuxes by protocol number, so UDP frames never touch the TCP layer.
 class ProtocolStack {
  public:
   explicit ProtocolStack(HostConfig config = HostConfig{});
@@ -42,14 +43,18 @@ class ProtocolStack {
   [[nodiscard]] FddiLayer& fddi() noexcept { return fddi_; }
   [[nodiscard]] Ipv4Layer& ip() noexcept { return ip_; }
   [[nodiscard]] UdpLayer& udp() noexcept { return udp_; }
+  [[nodiscard]] TcpLayer& tcp() noexcept { return tcp_; }
   [[nodiscard]] const HostConfig& config() const noexcept { return config_; }
 
   [[nodiscard]] std::uint64_t framesReceived() const noexcept { return fddi_.stats().frames; }
-  [[nodiscard]] std::uint64_t framesDelivered() const noexcept { return udp_.stats().delivered; }
+  [[nodiscard]] std::uint64_t framesDelivered() const noexcept {
+    return udp_.stats().delivered + tcp_.stats().delivered;
+  }
 
  private:
   HostConfig config_;
   UdpLayer udp_;
+  TcpLayer tcp_;
   Ipv4Layer ip_;
   FddiLayer fddi_;
   // Scratch packet reloaded per frame (capacity persists across frames, so
@@ -58,48 +63,5 @@ class ProtocolStack {
   // IPS by stack-per-worker ownership — so one scratch is safe.
   Packet rx_packet_;
 };
-
-/// A receive stack with both UDP and TCP above IP: FDDI → IPv4 → {UDP, TCP}.
-class DualProtocolStack {
- public:
-  explicit DualProtocolStack(HostConfig config = HostConfig{});
-
-  DualProtocolStack(const DualProtocolStack&) = delete;
-  DualProtocolStack& operator=(const DualProtocolStack&) = delete;
-
-  /// Processes one received frame (UDP or TCP).
-  ReceiveContext receiveFrame(std::span<const std::uint8_t> frame);
-
-  [[nodiscard]] UdpLayer& udp() noexcept { return udp_; }
-  [[nodiscard]] TcpLayer& tcp() noexcept { return tcp_; }
-  [[nodiscard]] Ipv4Layer& ip() noexcept { return ip_; }
-  [[nodiscard]] FddiLayer& fddi() noexcept { return fddi_; }
-
- private:
-  HostConfig config_;
-  UdpLayer udp_;
-  TcpLayer tcp_;
-  Ipv4Layer ip_;
-  FddiLayer fddi_;
-  Packet rx_packet_;  // per-frame scratch; see ProtocolStack::rx_packet_
-};
-
-/// Parameters for constructing a valid UDP/IP/FDDI frame.
-struct FrameSpec {
-  MacAddr src_mac{0x08, 0x00, 0x69, 0xaa, 0xbb, 0xcc};
-  MacAddr dst_mac{0x08, 0x00, 0x69, 0x01, 0x02, 0x03};
-  std::uint32_t src_ip = 0xc0a80102;  // 192.168.1.2
-  std::uint32_t dst_ip = 0xc0a80101;
-  std::uint16_t src_port = 2049;
-  std::uint16_t dst_port = 7000;
-  std::uint8_t ttl = 64;
-  bool udp_checksum = true;
-  std::uint16_t ip_id = 0;
-};
-
-/// Builds a complete wire frame carrying `payload` (the send-side encode
-/// path; also the test-vector source for the receive side).
-std::vector<std::uint8_t> buildUdpFrame(const FrameSpec& spec,
-                                        std::span<const std::uint8_t> payload);
 
 }  // namespace affinity

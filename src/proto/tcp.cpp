@@ -1,7 +1,6 @@
 #include "proto/tcp.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "proto/checksum.hpp"
 #include "util/check.hpp"
@@ -190,12 +189,8 @@ bool TcpLayer::receive(Packet& pkt, ReceiveContext& ctx) {
   }
   if (verify_checksum_) {
     ChecksumAccumulator acc;
-    acc.addWord(static_cast<std::uint16_t>(ctx.src_addr >> 16));
-    acc.addWord(static_cast<std::uint16_t>(ctx.src_addr));
-    acc.addWord(static_cast<std::uint16_t>(local_addr_ >> 16));
-    acc.addWord(static_cast<std::uint16_t>(local_addr_));
-    acc.addWord(TcpHeader::kProtoTcp);
-    acc.addWord(static_cast<std::uint16_t>(pkt.size()));
+    acc.addPseudoHeader(ctx.src_addr, local_addr_, TcpHeader::kProtoTcp,
+                        static_cast<std::uint16_t>(pkt.size()));
     acc.add(pkt.bytes());
     if (acc.finish() != 0) {
       ++stats_.dropped_checksum;
@@ -231,51 +226,6 @@ bool TcpLayer::receive(Packet& pkt, ReceiveContext& ctx) {
   ctx.payload_bytes = static_cast<std::uint16_t>(pkt.size());
   ++stats_.delivered;
   return true;
-}
-
-// ---------------------------------------------------------------- builder --
-
-std::vector<std::uint8_t> buildTcpFrame(const TcpFrameSpec& spec,
-                                        std::span<const std::uint8_t> payload) {
-  const std::size_t tcp_len = TcpHeader::kMinSize + payload.size();
-  const std::size_t ip_len = Ipv4Header::kMinSize + tcp_len;
-  const std::size_t frame_len = FddiHeader::kSize + ip_len;
-  std::vector<std::uint8_t> frame(frame_len);
-  std::span<std::uint8_t> out{frame};
-
-  FddiHeader fddi;
-  fddi.dst = spec.dst_mac;
-  fddi.src = spec.src_mac;
-  fddi.encode(out);
-
-  Ipv4Header ip;
-  ip.total_length = static_cast<std::uint16_t>(ip_len);
-  ip.protocol = TcpHeader::kProtoTcp;
-  ip.src = spec.src_ip;
-  ip.dst = spec.dst_ip;
-  ip.encode(out.subspan(FddiHeader::kSize));
-
-  TcpHeader tcp;
-  tcp.src_port = spec.src_port;
-  tcp.dst_port = spec.dst_port;
-  tcp.seq = spec.seq;
-  tcp.ack = spec.ack;
-  tcp.flags = spec.flags;
-  auto tcp_region = out.subspan(FddiHeader::kSize + Ipv4Header::kMinSize);
-  tcp.encode(tcp_region);
-  if (!payload.empty())
-    std::memcpy(tcp_region.data() + TcpHeader::kMinSize, payload.data(), payload.size());
-
-  ChecksumAccumulator acc;
-  acc.addWord(static_cast<std::uint16_t>(spec.src_ip >> 16));
-  acc.addWord(static_cast<std::uint16_t>(spec.src_ip));
-  acc.addWord(static_cast<std::uint16_t>(spec.dst_ip >> 16));
-  acc.addWord(static_cast<std::uint16_t>(spec.dst_ip));
-  acc.addWord(TcpHeader::kProtoTcp);
-  acc.addWord(static_cast<std::uint16_t>(tcp_len));
-  acc.add(std::span<const std::uint8_t>{tcp_region.data(), tcp_len});
-  writeBe16(tcp_region, 16, acc.finish());
-  return frame;
 }
 
 }  // namespace affinity

@@ -149,21 +149,4 @@ class TcpLayer final : public ProtocolLayer {
   Stats stats_;
 };
 
-/// Frame parameters for building TCP test/workload segments.
-struct TcpFrameSpec {
-  MacAddr src_mac{0x08, 0x00, 0x69, 0xaa, 0xbb, 0xcc};
-  MacAddr dst_mac{0x08, 0x00, 0x69, 0x01, 0x02, 0x03};
-  std::uint32_t src_ip = 0xc0a80102;
-  std::uint32_t dst_ip = 0xc0a80101;
-  std::uint16_t src_port = 3000;
-  std::uint16_t dst_port = 8000;
-  std::uint32_t seq = 0;
-  std::uint32_t ack = 0;
-  std::uint8_t flags = TcpHeader::kFlagAck;
-};
-
-/// Builds a complete FDDI/IP/TCP frame (checksummed).
-std::vector<std::uint8_t> buildTcpFrame(const TcpFrameSpec& spec,
-                                        std::span<const std::uint8_t> payload);
-
 }  // namespace affinity

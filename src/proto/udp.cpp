@@ -49,14 +49,8 @@ bool UdpLayer::receive(Packet& pkt, ReceiveContext& ctx) {
     return false;
   }
   if (verify_checksum_ && header->checksum != 0) {
-    // Pseudo-header: src, dst, zero|proto, udp length.
     ChecksumAccumulator acc;
-    acc.addWord(static_cast<std::uint16_t>(ctx.src_addr >> 16));
-    acc.addWord(static_cast<std::uint16_t>(ctx.src_addr));
-    acc.addWord(static_cast<std::uint16_t>(local_addr_ >> 16));
-    acc.addWord(static_cast<std::uint16_t>(local_addr_));
-    acc.addWord(Ipv4Header::kProtoUdp);
-    acc.addWord(header->length);
+    acc.addPseudoHeader(ctx.src_addr, local_addr_, Ipv4Header::kProtoUdp, header->length);
     acc.add(pkt.bytes().first(header->length));
     if (acc.finish() != 0) {
       ++stats_.dropped_checksum;

@@ -9,14 +9,34 @@ namespace affinity {
 
 namespace {
 
-OverloadPolicy parseOverloadPolicy(const std::string& name) {
-  if (name == "block") return OverloadPolicy::kBlock;
-  if (name == "reject-newest") return OverloadPolicy::kRejectNewest;
-  if (name == "drop-oldest") return OverloadPolicy::kDropOldest;
-  if (name == "shed-new-flows") return OverloadPolicy::kShedNewFlows;
-  AFF_CHECK(false &&
-            "unknown overload policy (block|reject-newest|drop-oldest|shed-new-flows)");
-  return OverloadPolicy::kBlock;
+bool parseOverloadPolicy(const std::string& name, OverloadPolicy* out) {
+  if (name == "block") *out = OverloadPolicy::kBlock;
+  else if (name == "reject-newest") *out = OverloadPolicy::kRejectNewest;
+  else if (name == "drop-oldest") *out = OverloadPolicy::kDropOldest;
+  else if (name == "shed-new-flows") *out = OverloadPolicy::kShedNewFlows;
+  else return false;
+  return true;
+}
+
+/// Reads a non-negative duration key (in `Duration`'s unit) over `*out`.
+template <typename Duration>
+bool readDuration(const ConfigFile& file, const std::string& key, Duration* out,
+                  std::string* error) {
+  typename Duration::rep count = 0;
+  if (!readInt(file, key, out->count(), &count, error)) return false;
+  *out = Duration(count);
+  return true;
+}
+
+/// Reads `key` through `parse` (one of the enum parsers), failing with the
+/// key's name and the accepted spellings when the value is not one of them.
+template <typename T, typename Parse>
+bool readEnum(const ConfigFile& file, const std::string& key, const char* current, Parse parse,
+              const char* accepted, T* out, std::string* error) {
+  const std::string value = file.getString(key, current);
+  if (parse(value, out)) return true;
+  if (error) *error = "unknown " + key + " '" + value + "' (" + accepted + ")";
+  return false;
 }
 
 /// Drives `engine` (constructed, not yet opened) through one scenario.
@@ -180,81 +200,68 @@ std::string ChaosReport::describe() const {
   return os.str();
 }
 
-ChaosConfig loadChaosConfig(const ConfigFile& file) {
+std::optional<ChaosConfig> loadChaosConfig(const ConfigFile& file, std::string* error) {
   ChaosConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(file.getInt("chaos.seed", static_cast<std::int64_t>(cfg.seed)));
-  cfg.frames = static_cast<std::uint64_t>(file.getInt("chaos.frames", static_cast<std::int64_t>(cfg.frames)));
-  cfg.workers = static_cast<unsigned>(file.getInt("chaos.workers", cfg.workers));
-  cfg.streams = static_cast<std::uint32_t>(file.getInt("chaos.streams", cfg.streams));
+  AdversaryOptions& adv = cfg.adversary;
+  EngineOptions& eng = cfg.engine;
+  const auto i64 = [](auto v) { return static_cast<std::int64_t>(v); };
+  // The same bounds as machine.processors and workload.streams in the
+  // simulator's scenarios.
+  if (!readInt(file, "chaos.seed", i64(cfg.seed), &cfg.seed, error) ||
+      !readInt(file, "chaos.frames", i64(cfg.frames), &cfg.frames, error) ||
+      !readInt(file, "chaos.workers", cfg.workers, &cfg.workers, error, 1, 64) ||
+      !readInt(file, "chaos.streams", cfg.streams, &cfg.streams, error, 1, std::int64_t{1} << 24) ||
+      !readInt(file, "chaos.kill_at", 0, &cfg.kill_at, error) ||
+      !readInt(file, "chaos.kill_worker", 0, &cfg.kill_worker, error) ||
+      !readInt(file, "chaos.stall_at", 0, &cfg.stall_at, error) ||
+      !readInt(file, "chaos.stall_worker", 0, &cfg.stall_worker, error) ||
+      !readDuration(file, "chaos.stall_ms", &cfg.stall_duration, error))
+    return std::nullopt;
   cfg.faults.drop = file.getDouble("chaos.drop_rate", cfg.faults.drop);
   cfg.faults.bitflip = file.getDouble("chaos.bitflip_rate", cfg.faults.bitflip);
   cfg.faults.truncate = file.getDouble("chaos.truncate_rate", cfg.faults.truncate);
   cfg.faults.duplicate = file.getDouble("chaos.duplicate_rate", cfg.faults.duplicate);
   cfg.faults.reorder = file.getDouble("chaos.reorder_rate", cfg.faults.reorder);
-  cfg.kill_at = static_cast<std::uint64_t>(file.getInt("chaos.kill_at", 0));
-  cfg.kill_worker = static_cast<unsigned>(file.getInt("chaos.kill_worker", 0));
-  cfg.stall_at = static_cast<std::uint64_t>(file.getInt("chaos.stall_at", 0));
-  cfg.stall_worker = static_cast<unsigned>(file.getInt("chaos.stall_worker", 0));
-  cfg.stall_duration =
-      std::chrono::milliseconds(file.getInt("chaos.stall_ms", cfg.stall_duration.count()));
 
-  const std::string workload =
-      file.getString("chaos.workload", adversaryKindName(cfg.adversary.kind));
-  AFF_CHECK(parseAdversaryKind(workload, &cfg.adversary.kind) &&
-            "unknown chaos.workload (none|zipf|churn|flash|collision)");
-  cfg.adversary.zipf_alpha = file.getDouble("chaos.zipf_alpha", cfg.adversary.zipf_alpha);
-  cfg.adversary.churn_period = static_cast<std::uint64_t>(
-      file.getInt("chaos.churn_period", static_cast<std::int64_t>(cfg.adversary.churn_period)));
-  cfg.adversary.churn_active =
-      static_cast<std::uint32_t>(file.getInt("chaos.churn_active", cfg.adversary.churn_active));
-  cfg.adversary.flash_period = static_cast<std::uint64_t>(
-      file.getInt("chaos.flash_period", static_cast<std::int64_t>(cfg.adversary.flash_period)));
-  cfg.adversary.flash_len = static_cast<std::uint64_t>(
-      file.getInt("chaos.flash_len", static_cast<std::int64_t>(cfg.adversary.flash_len)));
-  cfg.adversary.flash_hot =
-      static_cast<std::uint32_t>(file.getInt("chaos.flash_hot", cfg.adversary.flash_hot));
-  cfg.adversary.collision_buckets = static_cast<unsigned>(
-      file.getInt("chaos.collision_buckets", cfg.adversary.collision_buckets));
-  cfg.adversary.collision_fraction =
-      file.getDouble("chaos.collision_fraction", cfg.adversary.collision_fraction);
+  if (!readEnum(file, "chaos.workload", adversaryKindName(adv.kind), parseAdversaryKind,
+                "none|zipf|churn|flash|collision", &adv.kind, error) ||
+      !readInt(file, "chaos.churn_period", i64(adv.churn_period), &adv.churn_period, error) ||
+      !readInt(file, "chaos.churn_active", adv.churn_active, &adv.churn_active, error) ||
+      !readInt(file, "chaos.flash_period", i64(adv.flash_period), &adv.flash_period, error) ||
+      !readInt(file, "chaos.flash_len", i64(adv.flash_len), &adv.flash_len, error) ||
+      !readInt(file, "chaos.flash_hot", adv.flash_hot, &adv.flash_hot, error) ||
+      !readInt(file, "chaos.collision_buckets", adv.collision_buckets, &adv.collision_buckets,
+               error))
+    return std::nullopt;
+  adv.zipf_alpha = file.getDouble("chaos.zipf_alpha", adv.zipf_alpha);
+  adv.collision_fraction = file.getDouble("chaos.collision_fraction", adv.collision_fraction);
 
-  cfg.engine.queue_capacity =
-      static_cast<std::size_t>(file.getInt("engine.queue_capacity",
-                                           static_cast<std::int64_t>(cfg.engine.queue_capacity)));
-  cfg.engine.overload =
-      parseOverloadPolicy(file.getString("engine.overload", overloadPolicyName(cfg.engine.overload)));
-  cfg.engine.submit_deadline =
-      std::chrono::microseconds(file.getInt("engine.submit_deadline_us", 0));
-  cfg.engine.watchdog = file.getBool("engine.watchdog", cfg.engine.watchdog);
-  cfg.engine.watchdog_interval =
-      std::chrono::milliseconds(file.getInt("engine.watchdog_interval_ms",
-                                            cfg.engine.watchdog_interval.count()));
-  cfg.engine.stall_timeout = std::chrono::milliseconds(
-      file.getInt("engine.stall_timeout_ms", cfg.engine.stall_timeout.count()));
-  const std::string nic = file.getString("engine.nic", net::nicModeName(cfg.engine.nic_mode));
-  AFF_CHECK(net::parseNicMode(nic, &cfg.engine.nic_mode) &&
-            "unknown engine.nic (direct|rss|flow-director)");
-  cfg.engine.steal = file.getBool("engine.steal", cfg.engine.steal);
-  cfg.engine.steal_batch =
-      static_cast<unsigned>(file.getInt("engine.steal_batch", cfg.engine.steal_batch));
+  if (!readInt(file, "engine.queue_capacity", i64(eng.queue_capacity), &eng.queue_capacity,
+               error, 1) ||
+      !readEnum(file, "engine.overload", overloadPolicyName(eng.overload), parseOverloadPolicy,
+                "block|reject-newest|drop-oldest|shed-new-flows", &eng.overload, error) ||
+      !readDuration(file, "engine.submit_deadline_us", &eng.submit_deadline, error) ||
+      !readDuration(file, "engine.watchdog_interval_ms", &eng.watchdog_interval, error) ||
+      !readDuration(file, "engine.stall_timeout_ms", &eng.stall_timeout, error) ||
+      !readEnum(file, "engine.nic", net::nicModeName(eng.nic_mode), net::parseNicMode,
+                "direct|rss|flow-director|tfn", &eng.nic_mode, error) ||
+      !readInt(file, "engine.steal_batch", eng.steal_batch, &eng.steal_batch, error, 1))
+    return std::nullopt;
+  eng.watchdog = file.getBool("engine.watchdog", eng.watchdog);
+  eng.steal = file.getBool("engine.steal", eng.steal);
 
-  cfg.engine.flow.enabled = file.getBool("engine.flow_enabled", cfg.engine.flow.enabled);
-  cfg.engine.flow.budget_bytes = static_cast<std::size_t>(file.getInt(
-      "engine.flow_budget_bytes", static_cast<std::int64_t>(cfg.engine.flow.budget_bytes)));
-  cfg.engine.flow.shards =
-      static_cast<unsigned>(file.getInt("engine.flow_shards", cfg.engine.flow.shards));
-  const std::string evict = file.getString("engine.flow_policy",
-                                           flow::evictPolicyName(cfg.engine.flow.policy));
-  AFF_CHECK(flow::parseEvictPolicy(evict, &cfg.engine.flow.policy) &&
-            "unknown engine.flow_policy (lru|fifo|random|direct)");
-  cfg.engine.flow.shed_high_water =
-      file.getDouble("engine.flow_high_water", cfg.engine.flow.shed_high_water);
-  cfg.engine.flow.shed_low_water =
-      file.getDouble("engine.flow_low_water", cfg.engine.flow.shed_low_water);
-  cfg.engine.flow.shed_admit_fraction =
-      file.getDouble("engine.flow_admit_fraction", cfg.engine.flow.shed_admit_fraction);
-  cfg.engine.flow.seed = static_cast<std::uint64_t>(
-      file.getInt("engine.flow_seed", static_cast<std::int64_t>(cfg.engine.flow.seed)));
+  flow::FlowTableConfig& flow = eng.flow;
+  if (!readInt(file, "engine.flow_budget_bytes", i64(flow.budget_bytes), &flow.budget_bytes,
+               error) ||
+      !readInt(file, "engine.flow_shards", flow.shards, &flow.shards, error) ||
+      !readEnum(file, "engine.flow_policy", flow::evictPolicyName(flow.policy),
+                flow::parseEvictPolicy, "lru|fifo|random|direct", &flow.policy, error) ||
+      !readInt(file, "engine.flow_seed", i64(flow.seed), &flow.seed, error))
+    return std::nullopt;
+  flow.enabled = file.getBool("engine.flow_enabled", flow.enabled);
+  flow.shed_high_water = file.getDouble("engine.flow_high_water", flow.shed_high_water);
+  flow.shed_low_water = file.getDouble("engine.flow_low_water", flow.shed_low_water);
+  flow.shed_admit_fraction = file.getDouble("engine.flow_admit_fraction", flow.shed_admit_fraction);
   return cfg;
 }
 

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -89,7 +90,8 @@ struct ChaosReport {
 ChaosReport runChaos(EngineKind kind, const ChaosConfig& config);
 
 /// Reads a ChaosConfig from a ConfigFile's [chaos] + [engine] sections
-/// (absent keys keep their defaults).
-ChaosConfig loadChaosConfig(const ConfigFile& file);
+/// (absent keys keep their defaults); nullopt (with `error` naming the key)
+/// for an out-of-range count or duration or an unknown enum spelling.
+std::optional<ChaosConfig> loadChaosConfig(const ConfigFile& file, std::string* error = nullptr);
 
 }  // namespace affinity

@@ -7,7 +7,9 @@
 // than command lines.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -43,5 +45,31 @@ class ConfigFile {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// Largest value of integer type T that an int64 config value can carry.
+template <typename T>
+constexpr std::int64_t maxConfigValue() {
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>(std::numeric_limits<T>::max(),
+                              std::numeric_limits<std::int64_t>::max()));
+}
+
+/// The one reader for range-checked integer keys: reads `key` (`fallback`
+/// when absent) and fails with the key's name unless the value lies in
+/// [lo, hi], so a negative or oversized value can never wrap.
+template <typename T>
+bool readInt(const ConfigFile& cfg, const std::string& key, std::int64_t fallback, T* out,
+             std::string* error, std::int64_t lo = 0, std::int64_t hi = maxConfigValue<T>()) {
+  const std::int64_t v = cfg.getInt(key, fallback);
+  if (v < lo || v > hi) {
+    if (error) {
+      *error = key + " = " + std::to_string(v) + " is out of range [" + std::to_string(lo) +
+               ", " + std::to_string(hi) + "]";
+    }
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
 
 }  // namespace affinity

@@ -299,7 +299,9 @@ TEST(ChaosConfigFile, LoadsRatesAndEngineKnobs) {
   std::string error;
   const auto file = ConfigFile::parse(ini, &error);
   ASSERT_TRUE(file.has_value()) << error;
-  const ChaosConfig cfg = loadChaosConfig(*file);
+  const auto loaded = loadChaosConfig(*file, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  const ChaosConfig& cfg = *loaded;
   EXPECT_EQ(cfg.seed, 77u);
   EXPECT_EQ(cfg.frames, 1234u);
   EXPECT_EQ(cfg.workers, 2u);
@@ -345,7 +347,9 @@ TEST(ChaosConfigFile, LoadsFlowTableAndAdversaryKnobs) {
   std::string error;
   const auto file = ConfigFile::parse(ini, &error);
   ASSERT_TRUE(file.has_value()) << error;
-  const ChaosConfig cfg = loadChaosConfig(*file);
+  const auto loaded = loadChaosConfig(*file, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  const ChaosConfig& cfg = *loaded;
   EXPECT_EQ(cfg.adversary.kind, AdversaryKind::kCollision);
   EXPECT_DOUBLE_EQ(cfg.adversary.zipf_alpha, 1.5);
   EXPECT_EQ(cfg.adversary.churn_period, 512u);
@@ -364,6 +368,62 @@ TEST(ChaosConfigFile, LoadsFlowTableAndAdversaryKnobs) {
   EXPECT_DOUBLE_EQ(cfg.engine.flow.shed_low_water, 0.6);
   EXPECT_DOUBLE_EQ(cfg.engine.flow.shed_admit_fraction, 0.25);
   EXPECT_EQ(cfg.engine.flow.seed, 99u);
+}
+
+TEST(ChaosConfigFile, RejectsBadValuesNamingTheKey) {
+  struct Case {
+    const char* ini;
+    const char* key;
+  };
+  const Case cases[] = {
+      {"[chaos]\nworkers = 0\n", "chaos.workers"},
+      {"[chaos]\nworkers = -1\n", "chaos.workers"},
+      {"[chaos]\nworkers = 65\n", "chaos.workers"},
+      {"[chaos]\nstreams = 0\n", "chaos.streams"},
+      {"[chaos]\nstreams = 16777217\n", "chaos.streams"},
+      {"[chaos]\nframes = -5\n", "chaos.frames"},
+      {"[chaos]\nstall_ms = -1\n", "chaos.stall_ms"},
+      {"[chaos]\nworkload = bogus\n", "chaos.workload"},
+      {"[engine]\nqueue_capacity = 0\n", "engine.queue_capacity"},
+      {"[engine]\nsteal_batch = 0\n", "engine.steal_batch"},
+      {"[engine]\nsubmit_deadline_us = -3\n", "engine.submit_deadline_us"},
+      {"[engine]\nwatchdog_interval_ms = -1\n", "engine.watchdog_interval_ms"},
+      {"[engine]\nstall_timeout_ms = -1\n", "engine.stall_timeout_ms"},
+      {"[engine]\noverload = bogus\n", "engine.overload"},
+      {"[engine]\nnic = bogus\n", "engine.nic"},
+      {"[engine]\nflow_policy = bogus\n", "engine.flow_policy"},
+  };
+  for (const Case& c : cases) {
+    const auto file = ConfigFile::parse(c.ini);
+    ASSERT_TRUE(file.has_value()) << c.ini;
+    std::string error;
+    EXPECT_FALSE(loadChaosConfig(*file, &error).has_value()) << c.ini;
+    EXPECT_NE(error.find(c.key), std::string::npos) << c.ini << " -> " << error;
+  }
+  // The accepted spellings are listed, transport-friendly dispatch (tfn) included.
+  std::string error;
+  (void)loadChaosConfig(*ConfigFile::parse("[engine]\nnic = bogus\n"), &error);
+  EXPECT_NE(error.find("tfn"), std::string::npos) << error;
+  // The bounds themselves are accepted.
+  const auto edges =
+      ConfigFile::parse("[chaos]\nworkers = 64\nstreams = 16777216\n[engine]\nnic = tfn\n");
+  const auto cfg = loadChaosConfig(*edges, &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  EXPECT_EQ(cfg->workers, 64u);
+  EXPECT_EQ(cfg->streams, 1u << 24);
+  EXPECT_EQ(cfg->engine.nic_mode, net::NicDispatchMode::kTransportFriendly);
+}
+
+TEST(ChaosConfigFile, ShippedMixedFaultsScenarioLoads) {
+  std::string error;
+  const auto file =
+      ConfigFile::load(std::string(AFF_SOURCE_ROOT) + "/scenarios/chaos_mixed_faults.ini", &error);
+  ASSERT_TRUE(file.has_value()) << error;
+  const auto cfg = loadChaosConfig(*file, &error);
+  ASSERT_TRUE(cfg.has_value()) << error;
+  EXPECT_EQ(cfg->frames, 1'000'000u);
+  EXPECT_EQ(cfg->workers, 4u);
+  EXPECT_EQ(cfg->stall_duration.count(), 1200);
 }
 
 // --------------------------------------------- flow-table exhaustion ----

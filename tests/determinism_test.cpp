@@ -82,7 +82,7 @@ TEST(GoldenSeed, IpsWiredPoisson) {
                           false, 0});
 }
 
-// --------------------------------------- conservative-parallel identity ---
+// ------------------------------------------- sharded-parallel identity ---
 //
 // SimConfig::parallel_procs shards the simulated processors across real
 // threads (core/parallel_sim, docs/PARALLEL_SIM.md). The contract is strict:
@@ -170,8 +170,6 @@ TEST(GoldenSeed, ParallelActuallyShards) {
       runParallel(c, ExecTimeModel::standard(), makePoissonStreams(16, 0.03), &pinfo);
   EXPECT_TRUE(pinfo.parallel) << pinfo.fallback_reason;
   EXPECT_EQ(pinfo.shards, 4u);
-  EXPECT_GT(pinfo.epochs, 0u);
-  EXPECT_GT(pinfo.lookahead_us, 0.0);
   expectIdenticalMetrics(serial, par);
   // Same triple as IpsWiredPoisson above: the parallel path must reproduce
   // the pinned golden constants too, not merely agree with today's serial.

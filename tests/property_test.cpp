@@ -144,11 +144,11 @@ INSTANTIATE_TEST_SUITE_P(AllOffsets, TruncationSweep,
 class TcpHeaderCorruption : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(TcpHeaderCorruption, EveryTcpHeaderBitFlipIsHandledSafely) {
-  // Same contract as the UDP sweep, over the TCP path of the dual stack:
+  // Same contract as the UDP sweep, over the stack's TCP path:
   // any single-bit flip in FDDI/IP/TCP headers is a typed error or a
   // harmless mutation — never a crash — and the stack stays usable.
   const std::size_t byte_index = GetParam();
-  DualProtocolStack stack;
+  ProtocolStack stack;
   stack.tcp().listen(8000);
   TcpFrameSpec spec;
   spec.flags = TcpHeader::kFlagSyn;
@@ -170,7 +170,7 @@ TEST_P(TcpHeaderCorruption, EveryTcpHeaderBitFlipIsHandledSafely) {
   EXPECT_TRUE(stack.receiveFrame(cut).dropped());
   // A fresh stack still accepts the intact segment (the flips above may
   // have legitimately consumed the SYN).
-  DualProtocolStack fresh;
+  ProtocolStack fresh;
   fresh.tcp().listen(8000);
   EXPECT_FALSE(fresh.receiveFrame(frame).dropped());
 }

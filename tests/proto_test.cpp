@@ -297,37 +297,69 @@ TEST_F(StackFixture, StatsCountDeliveredFrames) {
   EXPECT_EQ(stack_.ip().stats().delivered, 5u);
 }
 
-// ------------------------------------------------------------ send path ---
+// ------------------------------------------------------------ wire bytes ---
 
-SendContext defaultSendContext() {
-  SendContext ctx;
-  ctx.src_mac = {0x08, 0x00, 0x69, 0xaa, 0xbb, 0xcc};
-  ctx.dst_mac = HostConfig{}.mac;
-  ctx.src_ip = 0xc0a80102;
-  ctx.dst_ip = HostConfig{}.ip;
-  ctx.src_port = 2049;
-  ctx.dst_port = 7000;
-  return ctx;
+// FNV-1a over every frame the builders produce for a fixed set of inputs.
+// FrameCorpus, the chaos determinism guard and the benchmark's frame inputs
+// all depend on these exact bytes, so any encoder change must keep this
+// digest unchanged.
+TEST(WireBytes, BuilderOutputIsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const std::vector<std::uint8_t>& frame) {
+    for (std::uint8_t b : frame) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (bool checksum : {true, false}) {
+    for (std::size_t n : {0u, 1u, 63u, 64u, 4324u}) {
+      std::vector<std::uint8_t> payload(n);
+      for (std::size_t i = 0; i < n; ++i) payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+      FrameSpec spec;
+      spec.udp_checksum = checksum;
+      spec.ip_id = static_cast<std::uint16_t>(n);
+      mix(buildUdpFrame(spec, payload));
+    }
+  }
+  TcpFrameSpec tcp;
+  tcp.seq = 1000;
+  tcp.ack = 77;
+  tcp.flags = TcpHeader::kFlagAck | TcpHeader::kFlagPsh;
+  mix(buildTcpFrame(tcp, {}));
+  mix(buildTcpFrame(tcp, bytesOf("data")));
+  EXPECT_EQ(h, 0xb88e050ca3cf8b3cULL);  // computed from the pre-refactor encoders
 }
 
-TEST(SendPath, LayeredPushMatchesMonolithicBuilder) {
-  const auto payload = bytesOf("layered send path");
-  UdpSendPath path;
-  Packet pkt = path.send(payload, defaultSendContext()).value();
+TEST(WireBytes, LargestUdpPayloadFitsTheSixteenBitLengths) {
+  const std::vector<std::uint8_t> payload(65507, 0x5a);
   const auto frame = buildUdpFrame(FrameSpec{}, payload);
-  ASSERT_EQ(pkt.size(), frame.size());
-  const auto got = pkt.bytes();
-  for (std::size_t i = 0; i < frame.size(); ++i)
-    ASSERT_EQ(got[i], frame[i]) << "byte " << i;
+  ASSERT_EQ(frame.size(), FddiHeader::kSize + 65535u);
+  const auto ip = Ipv4Header::decode(std::span<const std::uint8_t>(frame).subspan(FddiHeader::kSize));
+  ASSERT_TRUE(ip.has_value());
+  EXPECT_EQ(ip->total_length, 65535);
+  const auto udp = UdpHeader::decode(
+      std::span<const std::uint8_t>(frame).subspan(FddiHeader::kSize + Ipv4Header::kMinSize));
+  ASSERT_TRUE(udp.has_value());
+  EXPECT_EQ(udp->length, 65515);
+  ProtocolStack stack;
+  stack.open(7000);
+  const auto ctx = stack.receiveFrame(frame);
+  EXPECT_FALSE(ctx.dropped()) << dropReasonName(ctx.drop);
+  EXPECT_EQ(ctx.payload_bytes, 65507);
 }
+
+TEST(WireBytes, OversizeUdpPayloadYieldsEmptyFrame) {
+  const std::vector<std::uint8_t> payload(65508, 0x5a);
+  EXPECT_TRUE(buildUdpFrame(FrameSpec{}, payload).empty());
+}
+
+// ------------------------------------------------------------ send path ---
 
 TEST(SendPath, OutputRoundTripsThroughReceiveStack) {
   ProtocolStack stack;
   stack.open(7000);
-  UdpSendPath path;
   const auto payload = bytesOf("over the wire and back");
-  Packet pkt = path.send(payload, defaultSendContext()).value();
-  const auto ctx = stack.receiveFrame(pkt.bytes());
+  const auto ctx = stack.receiveFrame(buildUdpFrame(FrameSpec{}, payload));
   ASSERT_FALSE(ctx.dropped()) << dropReasonName(ctx.drop);
   std::vector<std::uint8_t> out;
   ASSERT_TRUE(stack.udp().find(7000)->read(out));
@@ -337,40 +369,25 @@ TEST(SendPath, OutputRoundTripsThroughReceiveStack) {
 TEST(SendPath, NoChecksumVariantAccepted) {
   ProtocolStack stack;
   stack.open(7000);
-  UdpSendPath path;
-  SendContext ctx = defaultSendContext();
-  ctx.udp_checksum = false;
-  Packet pkt = path.send(bytesOf("x"), ctx).value();
-  EXPECT_FALSE(stack.receiveFrame(pkt.bytes()).dropped());
-}
-
-TEST(SendPath, StatsAccumulate) {
-  UdpSendPath path;
-  path.send(bytesOf("abc"), defaultSendContext());
-  path.send(bytesOf("defgh"), defaultSendContext());
-  EXPECT_EQ(path.stats().datagrams, 2u);
-  EXPECT_EQ(path.stats().payload_bytes, 8u);
+  FrameSpec spec;
+  spec.udp_checksum = false;
+  EXPECT_FALSE(stack.receiveFrame(buildUdpFrame(spec, bytesOf("x"))).dropped());
 }
 
 TEST(SendPath, EmptyPayload) {
   ProtocolStack stack;
   stack.open(7000);
-  UdpSendPath path;
-  Packet pkt = path.send({}, defaultSendContext()).value();
-  const auto ctx = stack.receiveFrame(pkt.bytes());
+  const auto ctx = stack.receiveFrame(buildUdpFrame(FrameSpec{}, {}));
   EXPECT_FALSE(ctx.dropped());
   EXPECT_EQ(ctx.payload_bytes, 0);
 }
 
 TEST(SendPath, OversizePayloadIsTypedErrorNotAbort) {
-  UdpSendPath path;
   const std::vector<std::uint8_t> huge(70000, 0xab);  // > 16-bit UDP length
-  EXPECT_FALSE(path.send(huge, defaultSendContext()).has_value());
-  EXPECT_EQ(path.stats().oversize, 1u);
-  EXPECT_EQ(path.stats().datagrams, 0u);
+  EXPECT_TRUE(buildUdpFrame(FrameSpec{}, huge).empty());
+  EXPECT_TRUE(buildTcpFrame(TcpFrameSpec{}, huge).empty());
   // The path still works for sane payloads afterwards.
-  EXPECT_TRUE(path.send(bytesOf("ok"), defaultSendContext()).has_value());
-  EXPECT_EQ(path.stats().datagrams, 1u);
+  EXPECT_FALSE(buildUdpFrame(FrameSpec{}, bytesOf("ok")).empty());
 }
 
 TEST(SendPath, PushLayersRejectOversizeWithoutMutation) {
@@ -378,9 +395,11 @@ TEST(SendPath, PushLayersRejectOversizeWithoutMutation) {
   const std::vector<std::uint8_t> huge(0x10000, 0);
   pkt.append(huge);
   const std::size_t before = pkt.size();
-  EXPECT_FALSE(pushUdp(pkt, defaultSendContext()));
+  EXPECT_FALSE(pushUdp(pkt, FrameSpec{}));
   EXPECT_EQ(pkt.size(), before) << "failed push must not prepend a header";
-  EXPECT_FALSE(pushIp(pkt, defaultSendContext()));
+  EXPECT_FALSE(pushTcp(pkt, TcpFrameSpec{}));
+  EXPECT_EQ(pkt.size(), before);
+  EXPECT_FALSE(pushIp(pkt, FrameSpec{}, Ipv4Header::kProtoUdp));
   EXPECT_EQ(pkt.size(), before);
 }
 

@@ -265,7 +265,7 @@ class TcpStackFixture : public ::testing::Test {
     ASSERT_EQ(session()->state(), TcpSession::State::kEstablished);
   }
 
-  DualProtocolStack stack_;
+  ProtocolStack stack_;
 };
 
 TEST_F(TcpStackFixture, ConnectAndStreamThroughWholeStack) {

@@ -77,9 +77,7 @@ int main(int argc, char** argv) {
   if (want_parallel) {
     if (!metrics_out.empty()) exportParallelRunInfo(pinfo, registry);
     if (pinfo.parallel)
-      std::printf("# parallel: %u shards, %llu epochs, lookahead %.1f us%s\n", pinfo.shards,
-                  static_cast<unsigned long long>(pinfo.epochs), pinfo.lookahead_us,
-                  pinfo.replay_fallback ? " (replay fallback: serial rerun)" : "");
+      std::printf("# parallel: %u shards\n", pinfo.shards);
     else
       std::printf("# parallel requested but ran serial: %s\n",
                   pinfo.fallback_reason != nullptr ? pinfo.fallback_reason : "ineligible");

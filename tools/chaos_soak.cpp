@@ -56,7 +56,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "chaos_soak: %s\n", error.c_str());
       return 1;
     }
-    cfg = loadChaosConfig(*file);
+    auto loaded = loadChaosConfig(*file, &error);
+    if (!loaded) {
+      std::fprintf(stderr, "chaos_soak: %s: %s\n", path.c_str(), error.c_str());
+      return 1;
+    }
+    cfg = *loaded;
   } else {
     // Default soak: every fault type, one kill, one stall.
     cfg.frames = 200'000;
