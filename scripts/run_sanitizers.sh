@@ -33,9 +33,11 @@ jobs="${CTEST_PARALLEL_LEVEL:-$(nproc)}"
 # (its waits poll only race-free signals); sim_test covers the event
 # kernel's cancel, swap-remove and rebuild paths under ASan/UBSan.
 # sweep_runner_test and determinism_test are the simulator's threaded code:
-# SweepRunner::map and the sharded parallel runs it drives.
+# SweepRunner::map and the sharded parallel runs it drives. cache_test and
+# rd_model_test cover the cache models, whose footprint-curve lookup does
+# iterator arithmetic on the sample vector.
 suites=(runtime_test chaos_test proto_test tcp_test property_test arena_test ordering_test
-        sim_test sweep_runner_test determinism_test)
+        sim_test sweep_runner_test determinism_test cache_test rd_model_test)
 
 declare -A verdict
 

@@ -1,6 +1,8 @@
 #include "cache/exec_time.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -51,14 +53,36 @@ double ExecTimeModel::reload(double age_us) const noexcept {
   return r;
 }
 
+namespace {
+
+// f at three component ages, evaluated once per distinct age. f is a pure
+// function of the age, so reusing its value for an equal age is exact.
+// Only IPS's stream == shared (one stack age for both) holds by
+// construction. The others follow the traffic: Locking's shared data has
+// one last toucher, so shared == code when this processor finished the
+// latest packet; a stream or stack last served here at this processor's
+// latest completion shares the code age; ages last set elsewhere are all
+// kColdAge. The measured hit rates are in docs/MODEL.md.
+template <class F>
+auto perDistinctAge(double code, double shared, double stream, F f) {
+  using R = decltype(f(code));
+  const R at_code = f(code);
+  const R at_shared = shared == code ? at_code : f(shared);
+  const R at_stream = stream == shared ? at_shared : stream == code ? at_code : f(stream);
+  return std::array<R, 3>{at_code, at_shared, at_stream};
+}
+
+}  // namespace
+
 ExecTimeModel::ServiceParts ExecTimeModel::serviceParts(
     const CacheStateAges& ages) const noexcept {
-  const double l1 = shares_.l1_code * f1At(ages.code) +
-                    shares_.l1_shared * f1At(ages.shared) +
-                    shares_.l1_stream * f1At(ages.stream);
-  const double l2 = shares_.l2_code * f2At(ages.code) +
-                    shares_.l2_shared * f2At(ages.shared) +
-                    shares_.l2_stream * f2At(ages.stream);
+  const auto [code, shared, stream] =
+      perDistinctAge(ages.code, ages.shared, ages.stream,
+                     [this](double age) { return std::pair{f1At(age), f2At(age)}; });
+  const double l1 = shares_.l1_code * code.first + shares_.l1_shared * shared.first +
+                    shares_.l1_stream * stream.first;
+  const double l2 = shares_.l2_code * code.second + shares_.l2_shared * shared.second +
+                    shares_.l2_stream * stream.second;
   double l3 = 0.0;
   if (reload_.dl3_us > 0.0) {
     // The shared LLC doesn't care which processor last touched a component:
@@ -66,12 +90,11 @@ ExecTimeModel::ServiceParts ExecTimeModel::serviceParts(
     // still an upper bound on warmth (a component re-referenced here was
     // re-referenced somewhere), so take the min — with the default
     // *_any == kColdAge this degrades to the local age.
-    const double code_age = std::min(ages.code, ages.code_any);
-    const double shared_age = std::min(ages.shared, ages.shared_any);
-    const double stream_age = std::min(ages.stream, ages.stream_any);
+    const auto [code3, shared3, stream3] = perDistinctAge(
+        std::min(ages.code, ages.code_any), std::min(ages.shared, ages.shared_any),
+        std::min(ages.stream, ages.stream_any), [this](double age) { return f3At(age); });
     // Reuse the L2 share split: the same components refill through the LLC.
-    l3 = shares_.l2_code * f3At(code_age) + shares_.l2_shared * f3At(shared_age) +
-         shares_.l2_stream * f3At(stream_age);
+    l3 = shares_.l2_code * code3 + shares_.l2_shared * shared3 + shares_.l2_stream * stream3;
   }
   return ServiceParts{reload_.t_warm_us, l1 * reload_.dl1_us, l2 * reload_.dl2_us,
                       l3 * reload_.dl3_us};

@@ -7,11 +7,19 @@
 namespace affinity {
 
 double fractionDisplaced(double unique_lines, double sets, unsigned assoc) noexcept {
+  return Displacement(sets, assoc).fraction(unique_lines);
+}
+
+Displacement::Displacement(double sets_in, unsigned assoc_in) noexcept
+    : sets(sets_in), assoc(assoc_in), log_keep(std::log1p(-1.0 / sets_in)) {
   AFF_DCHECK(sets > 0.0 && assoc >= 1);
+}
+
+double Displacement::fraction(double unique_lines) const noexcept {
   if (unique_lines <= 0.0) return 0.0;
   if (assoc == 1) {
     // Exact binomial form: P(X >= 1) = 1 - (1 - 1/S)^u.
-    return 1.0 - std::exp(unique_lines * std::log1p(-1.0 / sets));
+    return 1.0 - std::exp(unique_lines * log_keep);
   }
   // Poisson approximation: lambda = u / S per set.
   const double lambda = unique_lines / sets;
@@ -28,24 +36,23 @@ double fractionDisplaced(double unique_lines, double sets, unsigned assoc) noexc
   return f > 1.0 ? 1.0 : f;
 }
 
-double FlushModel::f1(double x_us) const noexcept {
-  const double r = refs(x_us) * (1.0 - machine_.ifetch_fraction);
-  const double u = uniqueLines(sst_, r, machine_.l1d.line_bytes);
-  return fractionDisplaced(u, static_cast<double>(machine_.l1d.sets()),
-                           machine_.l1d.associativity);
+FlushModel::FlushModel(MachineParams machine, SstParams sst) noexcept
+    : machine_(machine),
+      sst_(sst),
+      refs_per_us_(machine.refsPerMicrosecond()),
+      l1_(level(machine.l1d, 1.0 - machine.ifetch_fraction)),
+      l2_(level(machine.l2, 1.0)),
+      llc_(machine.llc.size_bytes == 0 ? Level{} : level(machine.llc, 1.0)) {}
+
+FlushModel::Level FlushModel::level(const CacheLevelParams& geometry,
+                                    double ref_share) const noexcept {
+  return Level{ref_share, SstLevelLaw(sst_, static_cast<double>(geometry.line_bytes)),
+               Displacement(geometry)};
 }
 
-double FlushModel::f2(double x_us) const noexcept {
-  const double u = uniqueLines(sst_, refs(x_us), machine_.l2.line_bytes);
-  return fractionDisplaced(u, static_cast<double>(machine_.l2.sets()),
-                           machine_.l2.associativity);
-}
-
-double FlushModel::f3(double x_us) const noexcept {
-  if (machine_.llc.size_bytes == 0) return 0.0;
-  const double u = uniqueLines(sst_, refs(x_us), machine_.llc.line_bytes);
-  return fractionDisplaced(u, static_cast<double>(machine_.llc.sets()),
-                           machine_.llc.associativity);
+// Multiplying the L2/LLC reference count by a share of 1.0 is exact.
+double FlushModel::flushed(const Level& level, double x_us) const noexcept {
+  return level.geometry.fraction(level.footprint.lines(refs(x_us) * level.ref_share));
 }
 
 }  // namespace affinity

@@ -4,14 +4,23 @@
 
 namespace affinity {
 
-double uniqueLines(const SstParams& p, double refs, double line_bytes) noexcept {
+// C++ evaluates log W + a·log L + b·log R + log d·log L·log R left to right,
+// as ((log W + a·log L) + b·log R) + (log d·log L)·log R; k and c are the
+// first parenthesis and the last factor, so lines() computes that grouping.
+SstLevelLaw::SstLevelLaw(const SstParams& p, double line_bytes) noexcept
+    : b_(p.b),
+      k_(std::log10(p.W) + p.a * std::log10(line_bytes)),
+      c_(p.log_d * std::log10(line_bytes)) {}
+
+double SstLevelLaw::lines(double refs) const noexcept {
   if (refs <= 1.0) return refs > 0.0 ? refs : 0.0;
-  const double logL = std::log10(line_bytes);
   const double logR = std::log10(refs);
-  // u = W * L^a * R^b * 10^(log_d * logL * logR)
-  const double log_u = std::log10(p.W) + p.a * logL + p.b * logR + p.log_d * logL * logR;
-  const double u = std::pow(10.0, log_u);
+  const double u = std::pow(10.0, (k_ + b_ * logR) + c_ * logR);
   return u > refs ? refs : u;
+}
+
+double uniqueLines(const SstParams& p, double refs, double line_bytes) noexcept {
+  return SstLevelLaw(p, line_bytes).lines(refs);
 }
 
 double refsForUniqueLines(const SstParams& p, double lines, double line_bytes) noexcept {

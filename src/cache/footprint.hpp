@@ -27,6 +27,24 @@ struct SstParams {
   static SstParams mvsWorkload() noexcept { return SstParams{}; }
 };
 
+/// Paper eq. 2 at one line size, with the terms that depend only on L
+/// computed once: log u = (k + b·log R) + c·log R, where k = log W + a·log L
+/// and c = log d·log L. FlushModel keeps one per cache level, so a lookup
+/// costs one log10 and one pow.
+class SstLevelLaw {
+ public:
+  SstLevelLaw() = default;
+  SstLevelLaw(const SstParams& p, double line_bytes) noexcept;
+
+  /// Unique lines touched in `refs` references (see uniqueLines).
+  [[nodiscard]] double lines(double refs) const noexcept;
+
+ private:
+  double b_ = 0.0;
+  double k_ = 0.0;
+  double c_ = 0.0;
+};
+
 /// Number of unique lines of size `line_bytes` touched in `refs` references.
 /// Returns 0 for refs <= 0; clamps at `refs` (a reference stream cannot touch
 /// more unique lines than it has references).

@@ -1,7 +1,5 @@
 #include "cache/reuse.hpp"
 
-#include "cache/flush.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -164,6 +162,23 @@ bool RdHistogram::deserialize(const std::string& line) {
 void FootprintCurve::addSample(std::uint64_t refs, std::uint64_t lines) {
   AFF_DCHECK(samples_.empty() || refs > samples_.back().first);
   samples_.emplace_back(refs, lines);
+  fitTail();
+}
+
+// The power law past the last sample, fitted to the last decade of samples
+// (or the last two when the capture is short), exponent clamped to [0, 1]
+// so the tail stays physical (sublinear, non-decreasing).
+void FootprintCurve::fitTail() noexcept {
+  const double rn = static_cast<double>(samples_.back().first);
+  const double ln = static_cast<double>(samples_.back().second);
+  std::size_t j = samples_.size() - 1;
+  while (j > 0 && static_cast<double>(samples_[j].first) > rn / 10.0) --j;
+  const double rj = static_cast<double>(samples_[j].first);
+  const double lj = static_cast<double>(samples_[j].second);
+  tail_expo_ = 0.0;
+  if (rj < rn && lj > 0.0 && ln > lj) {
+    tail_expo_ = std::clamp(std::log(ln / lj) / std::log(rn / rj), 0.0, 1.0);
+  }
 }
 
 double FootprintCurve::lines(double refs) const noexcept {
@@ -178,31 +193,23 @@ double FootprintCurve::lines(double refs) const noexcept {
     // reference can touch at most one new line, so also clamp at `refs`.
     return std::min({l0 * refs / r0, refs, cap});
   }
-  // Interior: linear interpolation between bracketing samples.
-  for (std::size_t i = 1; i < samples_.size(); ++i) {
-    const double r1 = static_cast<double>(samples_[i].first);
-    if (refs > r1) continue;
-    const double ra = static_cast<double>(samples_[i - 1].first);
-    const double la = static_cast<double>(samples_[i - 1].second);
-    const double lb = static_cast<double>(samples_[i].second);
+  // Interior: linear interpolation between the first sample at or past
+  // `refs` and the one before it.
+  const auto hi = std::lower_bound(
+      samples_.begin() + 1, samples_.end(), refs,
+      [](const auto& sample, double r) { return static_cast<double>(sample.first) < r; });
+  if (hi != samples_.end()) {
+    const auto lo = hi - 1;
+    const double ra = static_cast<double>(lo->first);
+    const double la = static_cast<double>(lo->second);
+    const double r1 = static_cast<double>(hi->first);
+    const double lb = static_cast<double>(hi->second);
     const double t = (refs - ra) / (r1 - ra);
     return std::min(la + t * (lb - la), cap);
   }
-  // Beyond the last sample: power-law tail fitted to the last decade of
-  // samples (or the last two when the capture is short), exponent clamped
-  // to [0, 1] so the tail stays physical (sublinear, non-decreasing).
   const double rn = static_cast<double>(samples_.back().first);
   const double ln = static_cast<double>(samples_.back().second);
-  std::size_t j = samples_.size() - 1;
-  while (j > 0 && static_cast<double>(samples_[j].first) > rn / 10.0) --j;
-  const double rj = static_cast<double>(samples_[j].first);
-  const double lj = static_cast<double>(samples_[j].second);
-  double expo = 0.0;
-  if (rj < rn && lj > 0.0 && ln > lj) {
-    expo = std::log(ln / lj) / std::log(rn / rj);
-    expo = std::clamp(expo, 0.0, 1.0);
-  }
-  return std::min(ln * std::pow(refs / rn, expo), cap);
+  return std::min(ln * std::pow(refs / rn, tail_expo_), cap);
 }
 
 double FootprintCurve::refsFor(double target_lines) const noexcept {
@@ -250,7 +257,7 @@ bool FootprintCurve::deserialize(const std::string& line) {
     const unsigned long long l = std::strtoull(tok.c_str() + colon + 1, &end, 10);
     if (*end != '\0') return false;
     if (!samples_.empty() && r <= samples_.back().first) return false;
-    samples_.emplace_back(r, l);
+    addSample(r, l);
   }
   return true;
 }
@@ -377,12 +384,16 @@ RdCacheModel::RdCacheModel(MachineParams machine, RdProfile protocol, RdProfile 
       proto_(std::move(protocol)),
       bg_(std::move(background)),
       co_runners_(co_runners == 0 ? 1 : co_runners),
-      protocol_duty_(std::clamp(protocol_duty, 0.0, 1.0)) {
+      protocol_duty_(std::clamp(protocol_duty, 0.0, 1.0)),
+      refs_per_us_(machine_.refsPerMicrosecond()),
+      l1_(machine_.l1d),
+      l2_(machine_.l2) {
   if (machine_.llc.size_bytes > 0) {
+    llc_ = Displacement(machine_.llc);
     // Partition the shared LLC among the co-running streams: every
     // co-runner contributes one protocol stream and one background stream,
     // weighted by its duty cycle.
-    const double r = machine_.refsPerMicrosecond();
+    const double r = refs_per_us_;
     std::vector<const FootprintCurve*> fps;
     std::vector<double> rates;
     fps.reserve(2 * co_runners_);
@@ -401,23 +412,19 @@ RdCacheModel::RdCacheModel(MachineParams machine, RdProfile protocol, RdProfile 
 
 double RdCacheModel::f1(double x_us) const noexcept {
   if (x_us <= 0.0) return 0.0;
-  const double refs = x_us * machine_.refsPerMicrosecond();
+  const double refs = x_us * refs_per_us_;
   const double data_refs = refs * (1.0 - bg_.ifetchFraction());
-  const double u = bg_.fp_l1.lines(data_refs);
-  return fractionDisplaced(u, static_cast<double>(machine_.l1d.sets()),
-                           machine_.l1d.associativity);
+  return l1_.fraction(bg_.fp_l1.lines(data_refs));
 }
 
 double RdCacheModel::f2(double x_us) const noexcept {
   if (x_us <= 0.0) return 0.0;
-  const double u = bg_.fp_l2.lines(x_us * machine_.refsPerMicrosecond());
-  return fractionDisplaced(u, static_cast<double>(machine_.l2.sets()),
-                           machine_.l2.associativity);
+  return l2_.fraction(bg_.fp_l2.lines(x_us * refs_per_us_));
 }
 
 double RdCacheModel::f3(double x_us) const noexcept {
   if (x_us <= 0.0 || machine_.llc.size_bytes == 0) return 0.0;
-  const double r = x_us * machine_.refsPerMicrosecond();
+  const double r = x_us * refs_per_us_;
   // Displacing LLC traffic during the gap: the local processor runs its
   // background, and each of the other co-runners keeps issuing its full
   // protocol + background mix.
@@ -427,8 +434,7 @@ double RdCacheModel::f3(double x_us) const noexcept {
     u += others * (proto_.fp_l2.lines(r * protocol_duty_) +
                    bg_.fp_l2.lines(r * (1.0 - protocol_duty_)));
   }
-  return fractionDisplaced(u, static_cast<double>(machine_.llc.sets()),
-                           machine_.llc.associativity);
+  return llc_.fraction(u);
 }
 
 // The per-level predictions use the fully-associative stack conversion,

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/flush.hpp"
 #include "cache/machine.hpp"
 
 namespace affinity {
@@ -104,9 +105,11 @@ class RdHistogram {
 /// Beyond the captured range the curve extrapolates with the power law
 /// fitted to the last sampled decade, clamped at `cap_lines` (the
 /// workload's total distinct lines) — the measured analogue of SST's
-/// u(R, L) = W L^a R^b d^(log L log R).
+/// u(R, L) = W L^a R^b d^(log L log R). The tail exponent is refitted
+/// whenever a sample is added, so a lookup is one binary search.
 class FootprintCurve {
  public:
+  /// Appends a checkpoint; `refs` must exceed the last sample's.
   void addSample(std::uint64_t refs, std::uint64_t lines);
   void setCap(std::uint64_t cap_lines) noexcept { cap_lines_ = cap_lines; }
 
@@ -127,8 +130,11 @@ class FootprintCurve {
   [[nodiscard]] bool deserialize(const std::string& line);
 
  private:
+  void fitTail() noexcept;
+
   std::vector<std::pair<std::uint64_t, std::uint64_t>> samples_;  // (refs, lines) ascending
   std::uint64_t cap_lines_ = 0;  // 0 = uncapped
+  double tail_expo_ = 0.0;       // power-law exponent past the last sample
 };
 
 /// One workload's reuse-distance capture. Histograms are split the way the
@@ -217,6 +223,10 @@ class RdCacheModel {
   RdProfile bg_;
   unsigned co_runners_;
   double protocol_duty_;     ///< fraction of each co-runner's refs that are protocol
+  double refs_per_us_;
+  Displacement l1_;
+  Displacement l2_;
+  Displacement llc_;         ///< default (unused) when the machine has no LLC
   double llc_share_lines_ = 0.0;  ///< solved at construction
 };
 

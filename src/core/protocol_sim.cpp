@@ -21,6 +21,12 @@ constexpr std::uint32_t kAdaptDemoteWindows = 4;
 constexpr double kAdaptClusterGapUs = 100.0;
 constexpr double kAdaptClusterFraction = 0.5;
 
+/// Share of a level's full reload transient a packet did NOT pay. A level
+/// with nothing to reload (ΔL = 0) counts as perfectly warm.
+double warmFraction(double paid_us, double full_us) noexcept {
+  return full_us > 0.0 ? 1.0 - paid_us / full_us : 1.0;
+}
+
 }  // namespace
 
 ProtocolSim::ProtocolSim(SimConfig config, const ExecTimeModel& model, const StreamSet& streams)
@@ -409,9 +415,9 @@ void ProtocolSim::startService(unsigned proc, const Job& job, double extra_us) {
     // Warm fraction per level: how much of the full reload transient this
     // packet did NOT pay (1 = perfectly warm, 0 = fully cold/migrated).
     const auto& rp = model_.reloadParams();
-    hooks_.l1_warm->add(1.0 - parts.l1 / rp.dl1_us);
-    hooks_.l2_warm->add(1.0 - parts.l2 / rp.dl2_us);
-    if (hooks_.l3_warm != nullptr) hooks_.l3_warm->add(1.0 - parts.l3 / rp.dl3_us);
+    hooks_.l1_warm->add(warmFraction(parts.l1, rp.dl1_us));
+    hooks_.l2_warm->add(warmFraction(parts.l2, rp.dl2_us));
+    if (hooks_.l3_warm != nullptr) hooks_.l3_warm->add(warmFraction(parts.l3, rp.dl3_us));
     proc_busy_tw_[proc].set(now, 1.0);
   }
   if (job.stolen && inMeasureWindow()) {

@@ -122,6 +122,10 @@ bool parseModel(const ConfigFile& cfg, ExecTimeModel& out, std::string* error) {
   reload.t_warm_us = cfg.getDouble("model.t_warm_us", reload.t_warm_us);
   reload.dl1_us = cfg.getDouble("model.dl1_us", reload.dl1_us);
   reload.dl2_us = cfg.getDouble("model.dl2_us", reload.dl2_us);
+  // Negated comparisons so a NaN fails too.
+  if (!(reload.t_warm_us > 0.0)) return fail(error, "model.t_warm_us must be > 0");
+  if (!(reload.dl1_us >= 0.0)) return fail(error, "model.dl1_us must be >= 0");
+  if (!(reload.dl2_us >= 0.0)) return fail(error, "model.dl2_us must be >= 0");
   out = ExecTimeModel(FlushModel(MachineParams::sgiChallenge(), SstParams::mvsWorkload()),
                       reload, shares);
   return true;
@@ -149,7 +153,12 @@ bool parseCache(const ConfigFile& cfg, unsigned num_procs, ExecTimeModel& model,
 
   ReloadParams reload = model.reloadParams();
   const FootprintShares shares = model.shares();
-  if (has_llc) reload = reload.splitForSharedLlc(cfg.getDouble("cache.llc_split", 0.6));
+  if (has_llc) {
+    const double llc_split = cfg.getDouble("cache.llc_split", 0.6);
+    if (!(llc_split >= 0.0 && llc_split <= 1.0))
+      return fail(error, "cache.llc_split must be in [0, 1]");
+    reload = reload.splitForSharedLlc(llc_split);
+  }
 
   if (kind == "sst") {
     // Default model + default topology: keep the model parseModel built.

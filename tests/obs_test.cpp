@@ -456,5 +456,31 @@ TEST(Trace, ProtocolSimExportsValidTraceAndMetrics) {
   fs::remove(path);
 }
 
+TEST(Registry, ZeroReloadTransientExportsValidJson) {
+  // ΔL1 = 0 is a valid model (nothing to reload at L1). The level counts as
+  // perfectly warm, and the exported warm fraction must be a number, not
+  // the NaN of 0/0, or the document stops being JSON.
+  ReloadParams reload = ReloadParams::measuredUdpReceive();
+  reload.dl1_us = 0.0;
+  const ExecTimeModel model(FlushModel(MachineParams::sgiChallenge(), SstParams::mvsWorkload()),
+                            reload, FootprintShares{});
+  SimConfig c = defaultSimConfig();
+  c.num_procs = 4;
+  c.warmup_us = 10'000.0;
+  c.measure_us = 100'000.0;
+  MetricsRegistry reg;
+  c.metrics = &reg;
+  c.metrics_exclusive = true;
+  const RunMetrics m = runOnce(c, model, makePoissonStreams(8, 0.02));
+  ASSERT_GT(m.completed, 0u);
+
+  EXPECT_EQ(reg.meanStat("sim.affinity.l1_warm_fraction").mean(), 1.0);
+  const std::string path = tempPath("obs_test_zero_reload_metrics.json");
+  ASSERT_TRUE(reg.writeJson(path));
+  const std::string text = readFile(path);
+  EXPECT_TRUE(JsonChecker(text).valid()) << text;
+  fs::remove(path);
+}
+
 }  // namespace
 }  // namespace affinity::obs

@@ -23,11 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "rd_differential.hpp"
 
+#include "cache/flush.hpp"
 #include "cache/reuse.hpp"
 #include "cachesim/rd_capture.hpp"
 #include "core/scenario.hpp"
@@ -143,6 +146,114 @@ TEST(RdHistogram, SerializeRoundTrip) {
   EXPECT_EQ(s, s2);
   EXPECT_EQ(back.total(), h.total());
   EXPECT_EQ(back.cold(), h.cold());
+}
+
+// ---------------------------------------------- footprint curve lookup --
+
+// u(n) evaluated the direct way: scan the samples in order for the first
+// one at or past `refs`, and refit the power-law tail on every call. The
+// curve's own lookup must match it bit-for-bit.
+double linesLinearScan(const FootprintCurve& c, double refs) {
+  const auto& s = c.samples();
+  if (refs <= 0.0 || s.empty()) return 0.0;
+  const double cap = c.capLines() > 0 ? static_cast<double>(c.capLines())
+                                      : std::numeric_limits<double>::infinity();
+  const double r0 = static_cast<double>(s.front().first);
+  const double l0 = static_cast<double>(s.front().second);
+  if (refs <= r0) return std::min({l0 * refs / r0, refs, cap});
+  for (std::size_t i = 1; i < s.size(); ++i) {
+    const double r1 = static_cast<double>(s[i].first);
+    if (refs > r1) continue;
+    const double ra = static_cast<double>(s[i - 1].first);
+    const double la = static_cast<double>(s[i - 1].second);
+    const double lb = static_cast<double>(s[i].second);
+    const double t = (refs - ra) / (r1 - ra);
+    return std::min(la + t * (lb - la), cap);
+  }
+  const double rn = static_cast<double>(s.back().first);
+  const double ln = static_cast<double>(s.back().second);
+  std::size_t j = s.size() - 1;
+  while (j > 0 && static_cast<double>(s[j].first) > rn / 10.0) --j;
+  const double rj = static_cast<double>(s[j].first);
+  const double lj = static_cast<double>(s[j].second);
+  double expo = 0.0;
+  if (rj < rn && lj > 0.0 && ln > lj) {
+    expo = std::clamp(std::log(ln / lj) / std::log(rn / rj), 0.0, 1.0);
+  }
+  return std::min(ln * std::pow(refs / rn, expo), cap);
+}
+
+// Every sample, one ulp either side of it, midpoints, the region below the
+// first sample and far into the extrapolated tail.
+std::vector<double> curveProbePoints(const FootprintCurve& c) {
+  std::vector<double> xs = {-1.0, 0.0, 1e-9, 0.5, 1.0};
+  const auto& s = c.samples();
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double r = static_cast<double>(s[i].first);
+    xs.push_back(r);
+    xs.push_back(std::nextafter(r, 0.0));
+    xs.push_back(std::nextafter(r, std::numeric_limits<double>::infinity()));
+    if (i + 1 < s.size()) xs.push_back(0.5 * (r + static_cast<double>(s[i + 1].first)));
+  }
+  if (!s.empty()) {
+    const double r0 = static_cast<double>(s.front().first);
+    const double rn = static_cast<double>(s.back().first);
+    for (double f : {0.5, 1.0 / 3.0}) xs.push_back(r0 * f);
+    for (double f : {1.0000001, 1.5, 2.0, 10.0, 1e3, 1e6}) xs.push_back(rn * f);
+  }
+  xs.push_back(1e30);
+  return xs;
+}
+
+// A ~100-sample concave curve on geometric checkpoints, the shape
+// RdMonitor captures; `cap` 0 leaves it uncapped.
+FootprintCurve syntheticCurve(std::uint64_t cap) {
+  FootprintCurve c;
+  for (double n = 64.0; n < 1e8; n *= 1.15) {
+    const auto r = static_cast<std::uint64_t>(n);
+    c.addSample(r, static_cast<std::uint64_t>(30.0 * std::pow(n, 0.7)));
+  }
+  c.setCap(cap);
+  return c;
+}
+
+std::vector<FootprintCurve> curvesUnderTest() {
+  std::vector<FootprintCurve> curves = {syntheticCurve(0), syntheticCurve(1u << 30),
+                                        syntheticCurve(50'000)};
+  FootprintCurve one;
+  one.addSample(100, 40);
+  curves.push_back(one);
+  FootprintCurve two;
+  two.addSample(100, 40);
+  two.addSample(5'000, 900);
+  curves.push_back(two);
+  FootprintCurve flat;  // a saturated tail: exponent 0
+  for (std::uint64_t n = 64; n <= 1u << 16; n *= 2) {
+    flat.addSample(n, std::min<std::uint64_t>(n, 700));
+  }
+  curves.push_back(flat);
+  const RdProfile captured = captureProtocolRdProfile(
+      MachineParams::sgiChallenge(), ProtocolLayout::standard(), ProtocolTraceParams{}, 4, 24, 42);
+  curves.push_back(captured.fp_l1);
+  curves.push_back(captured.fp_l2);
+  return curves;
+}
+
+TEST(FootprintCurve, LookupBitIdenticalToLinearScan) {
+  for (const FootprintCurve& c : curvesUnderTest()) {
+    SCOPED_TRACE(::testing::Message() << c.samples().size() << " samples, cap " << c.capLines());
+    for (double r : curveProbePoints(c)) EXPECT_EQ(c.lines(r), linesLinearScan(c, r)) << r;
+  }
+}
+
+TEST(FootprintCurve, SerializeRoundTripKeepsEveryLookup) {
+  for (const FootprintCurve& c : curvesUnderTest()) {
+    std::string text;
+    c.serialize(&text);
+    FootprintCurve back;
+    ASSERT_TRUE(back.deserialize(text));
+    for (double r : curveProbePoints(c)) EXPECT_EQ(back.lines(r), c.lines(r)) << r;
+  }
 }
 
 // -------------------------------------------------- occupancy solver -----
@@ -270,6 +381,40 @@ TEST(ScenarioCache, ModernTopologySplitsReloadPreservingTCold) {
   EXPECT_NEAR(s->model.tCold(), ExecTimeModel::standard().tCold(), 1e-9);
   ASSERT_NE(s->model.reuseModel(), nullptr);
   EXPECT_GT(s->model.reuseModel()->llcShareLines(), 0.0);
+}
+
+TEST(ScenarioCache, ReuseFlushBitIdenticalToCurveComposition) {
+  // RdCacheModel's flush fractions, rebuilt from the public pieces: the
+  // background's footprint curves and fractionDisplaced. Shared-LLC
+  // topology with the default co-runner count, so f3 sums the other
+  // co-runners' traffic.
+  const auto s = scenarioFrom(
+      "[cache]\nmodel = reuse\ntopology = modern-llc\nprofile_streams = 2\n"
+      "profile_packets = 8\nprofile_bg_refs = 20000\n");
+  ASSERT_TRUE(s.has_value());
+  const RdCacheModel& rd = *s->model.reuseModel();
+  ASSERT_GT(rd.coRunners(), 1u);
+  const MachineParams& m = rd.machine();
+  const RdProfile& bg = rd.background();
+  const RdProfile& proto = rd.protocol();
+  const double duty = RdCaptureParams{}.protocol_duty;
+  const auto displaced = [](double u, const CacheLevelParams& level) {
+    return fractionDisplaced(u, static_cast<double>(level.sets()), level.associativity);
+  };
+  for (double x : {0.0, 1e-3, 0.4, 1.0, 13.0, 240.0, 5'000.0, 7.7e4, 3e6, 1e9}) {
+    SCOPED_TRACE(x);
+    const double refs = x * m.refsPerMicrosecond();
+    const double want1 =
+        x > 0.0 ? displaced(bg.fp_l1.lines(refs * (1.0 - bg.ifetchFraction())), m.l1d) : 0.0;
+    const double want2 = x > 0.0 ? displaced(bg.fp_l2.lines(refs), m.l2) : 0.0;
+    const double others = static_cast<double>(rd.coRunners() - 1);
+    const double u3 = bg.fp_l2.lines(refs) + others * (proto.fp_l2.lines(refs * duty) +
+                                                       bg.fp_l2.lines(refs * (1.0 - duty)));
+    const double want3 = x > 0.0 ? displaced(u3, m.llc) : 0.0;
+    EXPECT_EQ(rd.f1(x), want1);
+    EXPECT_EQ(rd.f2(x), want2);
+    EXPECT_EQ(rd.f3(x), want3);
+  }
 }
 
 TEST(ScenarioCache, RejectsUnknownValues) {

@@ -185,6 +185,25 @@ TEST(ScenarioTest, RejectsOutOfRangeIntegerKeys) {
   });
 }
 
+TEST(ScenarioTest, RejectsBadReloadParameters) {
+  // The reload transient t = t_warm + F1·ΔL1 + F2·ΔL2 needs a positive warm
+  // time and non-negative transients; the LLC split carves a fraction of
+  // ΔL2 into ΔL3. A bad value fails with its key's name when parsed, not as
+  // a CHECK abort when the model is built.
+  expectRejectedNamingKey({
+      {"[model]\nt_warm_us = 0\n", "model.t_warm_us"},
+      {"[model]\nt_warm_us = -1\n", "model.t_warm_us"},
+      {"[model]\ndl1_us = -5\n", "model.dl1_us"},
+      {"[model]\ndl2_us = -0.5\n", "model.dl2_us"},
+      {"[cache]\ntopology = modern-llc\nllc_split = 1.5\n", "cache.llc_split"},
+      {"[cache]\ntopology = modern-llc\nllc_split = -0.1\n", "cache.llc_split"},
+  });
+  // The boundaries are accepted: a level may have nothing to reload.
+  EXPECT_TRUE(scenarioFrom("[model]\ndl1_us = 0\ndl2_us = 0\n").has_value());
+  EXPECT_TRUE(scenarioFrom("[cache]\ntopology = modern-llc\nllc_split = 1\n").has_value());
+  EXPECT_TRUE(scenarioFrom("[cache]\ntopology = modern-llc\nllc_split = 0\n").has_value());
+}
+
 TEST(ScenarioTest, RejectsKeysTheSelectedModeIgnores) {
   // A key read by one mode only must fail, with its name, under any other
   // mode instead of running with the key silently ignored.
