@@ -121,10 +121,10 @@ struct CommonFlags {
     c.seed = seed;
     c.warmup_us = fast ? 50'000.0 : 200'000.0;
     c.measure_us = fast ? 300'000.0 : 2'000'000.0;
-    // Sweep sims share the registry across worker threads, so only the
-    // thread-safe end-of-run export is wired up (never metrics_exclusive,
-    // never SimConfig::trace — virtual times from parallel points would
-    // interleave meaninglessly on one timeline).
+    // Sweep sims share the registry across worker threads; each publishes
+    // its statistics once, after its run. Never SimConfig::trace — virtual
+    // times from parallel points would interleave meaninglessly on one
+    // timeline.
     c.metrics = observability().metrics();
     return c;
   }

@@ -35,9 +35,12 @@ jobs="${CTEST_PARALLEL_LEVEL:-$(nproc)}"
 # sweep_runner_test and determinism_test are the simulator's threaded code:
 # SweepRunner::map and the sharded parallel runs it drives. cache_test and
 # rd_model_test cover the cache models, whose footprint-curve lookup does
-# iterator arithmetic on the sample vector.
+# iterator arithmetic on the sample vector. obs_test adds concurrently to
+# one MeanStat and merges a parallel sweep's histograms into one shared
+# registry; stats_test covers the accumulators the registry publishes.
 suites=(runtime_test chaos_test proto_test tcp_test property_test arena_test ordering_test
-        sim_test sweep_runner_test determinism_test cache_test rd_model_test)
+        sim_test sweep_runner_test determinism_test cache_test rd_model_test obs_test
+        stats_test)
 
 declare -A verdict
 

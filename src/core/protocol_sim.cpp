@@ -83,55 +83,12 @@ void ProtocolSim::initObservability() {
   }
   if (config_.metrics == nullptr) return;
   obs_on_ = true;
-  auto& reg = *config_.metrics;
-  hooks_.arrived = &reg.counter("sim.packets.arrived");
-  hooks_.completed = &reg.counter("sim.packets.completed");
-  hooks_.delay = &reg.histogram("sim.delay_us");
-  hooks_.service = &reg.meanStat("sim.service_us");
-  hooks_.lock_wait = &reg.meanStat("sim.lock_wait_us");
-  hooks_.l1_warm = &reg.meanStat("sim.affinity.l1_warm_fraction");
-  hooks_.l2_warm = &reg.meanStat("sim.affinity.l2_warm_fraction");
-  if (model_.reloadParams().dl3_us > 0.0) {
-    hooks_.l3_warm = &reg.meanStat("sim.cache.rd.l3_warm_fraction");
-  }
-  if (model_.kind() == CacheModelKind::kReuse && model_.reuseModel() != nullptr) {
-    // Reuse-distance model parameters (docs/OBSERVABILITY.md, sim.cache.rd.*):
-    // static per-run gauges describing the profile the run used.
-    const RdCacheModel& rd = *model_.reuseModel();
-    reg.gauge("sim.cache.rd.proto_lines").set(rd.protoLinesL2());
-    reg.gauge("sim.cache.rd.llc_share_lines").set(rd.llcShareLines());
-    reg.gauge("sim.cache.rd.co_runners").set(static_cast<double>(rd.coRunners()));
-  }
-  hooks_.stream_mru_hit = &reg.counter("sim.sched.stream_mru.hit");
-  hooks_.stream_mru_fallback = &reg.counter("sim.sched.stream_mru.fallback");
-  hooks_.ips_mru_hit = &reg.counter("sim.sched.ips_mru.hit");
-  hooks_.ips_mru_fallback = &reg.counter("sim.sched.ips_mru.fallback");
-  hooks_.steal_count = &reg.counter("sim.sched.steal.count");
-  hooks_.steal_jobs = &reg.counter("sim.sched.steal.jobs");
   proc_queue_tw_.resize(config_.num_procs);
   proc_busy_tw_.resize(config_.num_procs);
-  if (config_.metrics_exclusive) {
-    hooks_.proc_queue.reserve(config_.num_procs);
-    for (unsigned p = 0; p < config_.num_procs; ++p) {
-      hooks_.proc_queue.push_back(
-          &reg.timeWeighted("sim.proc." + std::to_string(p) + ".queue_depth"));
-    }
-    hooks_.global_queue = &reg.timeWeighted("sim.queue.global_depth");
-  }
 }
 
 void ProtocolSim::noteProcQueue(unsigned proc, int delta) noexcept {
-  if (!obs_on_) return;
-  const double now = sim_.now();
-  proc_queue_tw_[proc].adjust(now, delta);
-  if (!hooks_.proc_queue.empty()) hooks_.proc_queue[proc]->adjust(now, delta);
-}
-
-void ProtocolSim::noteGlobalQueue(int delta) noexcept {
-  if (!obs_on_) return;
-  const double now = sim_.now();
-  global_queue_tw_.adjust(now, delta);
-  if (hooks_.global_queue != nullptr) hooks_.global_queue->adjust(now, delta);
+  if (obs_on_) proc_queue_tw_[proc].adjust(sim_.now(), delta);
 }
 
 bool ProtocolSim::usesLocking(std::uint32_t stream) const noexcept {
@@ -238,10 +195,10 @@ int ProtocolSim::chooseIdleForLocking(std::uint32_t stream) {
     case LockingPolicy::kStreamMru: {
       const int lp = affinity_.lastProcOfStream(stream);
       if (lp >= 0 && proc_idle_[lp]) {
-        if (obs_on_) hooks_.stream_mru_hit->inc();
+        if (obs_on_) ++stream_mru_hit_;
         return lp;
       }
-      if (obs_on_) hooks_.stream_mru_fallback->inc();
+      if (obs_on_) ++stream_mru_fallback_;
       return mruIdleProc();
     }
     case LockingPolicy::kWiredStreams:
@@ -263,10 +220,10 @@ int ProtocolSim::chooseIdleForStack(std::uint32_t stack) {
       if (idle_count_ == 0) return -1;
       const int lp = affinity_.lastProcOfStack(stack);
       if (lp >= 0 && proc_idle_[lp]) {
-        if (obs_on_) hooks_.ips_mru_hit->inc();
+        if (obs_on_) ++ips_mru_hit_;
         return lp;
       }
-      if (obs_on_) hooks_.ips_mru_fallback->inc();
+      if (obs_on_) ++ips_mru_fallback_;
       return mruIdleProc();
     }
   }
@@ -275,7 +232,6 @@ int ProtocolSim::chooseIdleForStack(std::uint32_t stack) {
 
 void ProtocolSim::arrivePacket(std::uint32_t stream) {
   ++arrived_;
-  if (obs_on_) hooks_.arrived->inc();
   if (flow_table_ != nullptr) {
     // Charge the bounded flow table before any scheduling decision. The sim
     // is single-threaded and consumes state synchronously, so the in-flight
@@ -331,7 +287,6 @@ void ProtocolSim::arrivePacket(std::uint32_t stream) {
       global_queue_.push_back(job);
       ++queued_count_;
       recordQueueChange();
-      noteGlobalQueue(+1);
     }
     return;
   }
@@ -415,9 +370,9 @@ void ProtocolSim::startService(unsigned proc, const Job& job, double extra_us) {
     // Warm fraction per level: how much of the full reload transient this
     // packet did NOT pay (1 = perfectly warm, 0 = fully cold/migrated).
     const auto& rp = model_.reloadParams();
-    hooks_.l1_warm->add(warmFraction(parts.l1, rp.dl1_us));
-    hooks_.l2_warm->add(warmFraction(parts.l2, rp.dl2_us));
-    if (hooks_.l3_warm != nullptr) hooks_.l3_warm->add(warmFraction(parts.l3, rp.dl3_us));
+    l1_warm_.add(warmFraction(parts.l1, rp.dl1_us));
+    l2_warm_.add(warmFraction(parts.l2, rp.dl2_us));
+    if (rp.dl3_us > 0.0) l3_warm_.add(warmFraction(parts.l3, rp.dl3_us));
     proc_busy_tw_[proc].set(now, 1.0);
   }
   if (job.stolen && inMeasureWindow()) {
@@ -524,11 +479,7 @@ void ProtocolSim::feedProcessor(unsigned proc) {
     lock_queue->erase(lock_queue->begin() + static_cast<std::ptrdiff_t>(lock_index));
     --queued_count_;
     recordQueueChange();
-    if (lock_queue == &global_queue_) {
-      noteGlobalQueue(-1);
-    } else {
-      noteProcQueue(proc, -1);
-    }
+    if (lock_queue != &global_queue_) noteProcQueue(proc, -1);
     startService(proc, job);
   } else {
     const auto k = static_cast<std::uint32_t>(stack);
@@ -570,10 +521,6 @@ bool ProtocolSim::trySteal(unsigned thief) {
       std::min<std::size_t>(std::max<unsigned>(config_.steal_batch, 1), vq.size());
   ++steals_;
   stolen_jobs_ += take;
-  if (obs_on_) {
-    hooks_.steal_count->inc();
-    hooks_.steal_jobs->inc(take);
-  }
   // FlowDirector's pin follows the theft immediately (packet-triggered
   // update — the pathology). TransportFriendly learns only from the thief's
   // *completions* (onComplete feedback), so the steal itself must not touch
@@ -641,12 +588,6 @@ void ProtocolSim::onComplete(unsigned proc) {
     if (shard_mode_) {
       shard_ops_.push_back(ShardOp{ShardOp::Kind::kCompletion, now, delay, exec, lock_wait});
     }
-    if (obs_on_) {
-      hooks_.completed->inc();
-      hooks_.delay->add(delay);
-      hooks_.service->add(exec);
-      hooks_.lock_wait->add(lock_wait);
-    }
   }
 
   if (stack != AffinityState::kNoStack) {
@@ -705,12 +646,9 @@ RunMetrics ProtocolSim::run() {
   end_time_ = config_.warmup_us + config_.measure_us;
   busy_procs_.set(0.0, 0.0);
   queue_len_.set(0.0, 0.0);
-  if (obs_on_) {
-    global_queue_tw_.set(0.0, 0.0);
-    for (unsigned p = 0; p < config_.num_procs; ++p) {
-      proc_queue_tw_[p].set(0.0, 0.0);
-      proc_busy_tw_[p].set(0.0, 0.0);
-    }
+  for (unsigned p = 0; p < proc_queue_tw_.size(); ++p) {
+    proc_queue_tw_[p].set(0.0, 0.0);
+    proc_busy_tw_[p].set(0.0, 0.0);
   }
 
   if (config_.adaptive_hybrid) {
@@ -798,9 +736,34 @@ void ProtocolSim::exportRunMetrics(const RunMetrics& m) {
   reg.meanStat("sim.run.mean_queue_len").add(m.mean_queue_len);
   reg.meanStat("sim.kernel.events_executed").add(static_cast<double>(sim_.executedCount()));
   reg.meanStat("sim.kernel.events_pending_end").add(static_cast<double>(sim_.pendingCount()));
+  // The run's own accumulators, the ones RunMetrics is computed from.
+  reg.counter("sim.packets.arrived").inc(m.arrived);
+  reg.counter("sim.packets.completed").inc(m.completed);
+  reg.mergeHistogram("sim.delay_us", delay_hist_);
+  reg.meanStat("sim.service_us").merge(service_);
+  reg.meanStat("sim.lock_wait_us").merge(lock_wait_);
+  reg.meanStat("sim.affinity.l1_warm_fraction").merge(l1_warm_);
+  reg.meanStat("sim.affinity.l2_warm_fraction").merge(l2_warm_);
+  if (model_.reloadParams().dl3_us > 0.0) {
+    reg.meanStat("sim.cache.rd.l3_warm_fraction").merge(l3_warm_);
+  }
+  if (model_.kind() == CacheModelKind::kReuse && model_.reuseModel() != nullptr) {
+    // Reuse-distance model parameters (docs/OBSERVABILITY.md, sim.cache.rd.*):
+    // static per-run gauges describing the profile the run used.
+    const RdCacheModel& rd = *model_.reuseModel();
+    reg.gauge("sim.cache.rd.proto_lines").set(rd.protoLinesL2());
+    reg.gauge("sim.cache.rd.llc_share_lines").set(rd.llcShareLines());
+    reg.gauge("sim.cache.rd.co_runners").set(static_cast<double>(rd.coRunners()));
+  }
   if (config_.policy.locking == LockingPolicy::kStealAffinity) {
     reg.gauge("sim.cache.rd.steal_reload_us").set(m.steal_reload_us);
   }
+  reg.counter("sim.sched.stream_mru.hit").inc(stream_mru_hit_);
+  reg.counter("sim.sched.stream_mru.fallback").inc(stream_mru_fallback_);
+  reg.counter("sim.sched.ips_mru.hit").inc(ips_mru_hit_);
+  reg.counter("sim.sched.ips_mru.fallback").inc(ips_mru_fallback_);
+  reg.counter("sim.sched.steal.count").inc(m.steals);
+  reg.counter("sim.sched.steal.jobs").inc(m.stolen_jobs);
   reg.counter("sim.affinity.stream_migrations").inc(affinity_.streamMigrations());
   reg.counter("sim.affinity.stream_revisits").inc(affinity_.streamRevisits());
   reg.counter("sim.affinity.stack_migrations").inc(affinity_.stackMigrations());
@@ -828,12 +791,8 @@ void ProtocolSim::exportRunMetrics(const RunMetrics& m) {
   for (unsigned p = 0; p < config_.num_procs; ++p) {
     const std::string base = "sim.proc." + std::to_string(p);
     reg.meanStat(base + ".queue_depth_avg").add(proc_queue_tw_[p].average(end_time_));
+    reg.meanStat(base + ".queue_depth_peak").add(proc_queue_tw_[p].maxLevel());
     reg.meanStat(base + ".busy_frac").add(proc_busy_tw_[p].average(end_time_));
-  }
-  if (config_.metrics_exclusive) {
-    for (auto* tw : hooks_.proc_queue) tw->finalize(end_time_);
-    if (hooks_.global_queue != nullptr) hooks_.global_queue->finalize(end_time_);
-    reg.timeWeighted("sim.queue.global_depth");  // ensure present even if never pushed
   }
 }
 

@@ -92,18 +92,12 @@ struct SimConfig {
   SimObserver* observer = nullptr;
 
   // --- observability (docs/OBSERVABILITY.md) -------------------------------
-  /// Optional metrics registry (not owned). Only thread-safe instruments
-  /// (counters, means, histograms) are written unless `metrics_exclusive`
-  /// is set, so one registry may be shared by parallel sweep points — the
-  /// streaming stats then aggregate across every point that ran. Purely
-  /// observational: enabling it changes no simulation result (guarded by
-  /// determinism_test).
+  /// Optional metrics registry (not owned). The run publishes its own
+  /// finished accumulators into it once, after the run, so one registry may
+  /// be shared by parallel sweep points — the statistics then aggregate
+  /// across every point that ran. Purely observational: enabling it changes
+  /// no simulation result (guarded by determinism_test).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Promise that this sim is the registry's only concurrent writer; the
-  /// sim then additionally registers single-writer time-weighted
-  /// instruments (live per-processor queue depth / busy level). Set by
-  /// single-run tools (tools/affinity_sim), never by parallel sweeps.
-  bool metrics_exclusive = false;
   /// Optional trace session (not owned): per-processor service spans and
   /// control instants in *virtual* time. Give each concurrently-running
   /// sim its own session — virtual timelines of different runs must not
@@ -270,7 +264,7 @@ class ProtocolSim {
   /// Queue depth attributable to processor `proc` changed by `delta`
   /// (wired Locking queue, or an IPS stack whose wired home is `proc`).
   void noteProcQueue(unsigned proc, int delta) noexcept;
-  void noteGlobalQueue(int delta) noexcept;
+  /// Publishes the run's accumulators into config_.metrics.
   void exportRunMetrics(const RunMetrics& m);
 
   SimConfig config_;
@@ -360,33 +354,18 @@ class ProtocolSim {
   std::vector<std::uint8_t> owned_stream_;  ///< stream -> owned by this shard
   std::vector<ShardOp> shard_ops_;          ///< commit log, execution order
 
-  // Observability plumbing (resolved once in initObservability; hot paths
-  // test obs_on_ / the individual pointers, never the registry map).
-  struct ObsHooks {
-    obs::Counter* arrived = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::LatencyHisto* delay = nullptr;
-    obs::MeanStat* service = nullptr;
-    obs::MeanStat* lock_wait = nullptr;
-    obs::MeanStat* l1_warm = nullptr;
-    obs::MeanStat* l2_warm = nullptr;
-    obs::MeanStat* l3_warm = nullptr;  ///< shared-LLC topologies only (ΔL3 > 0)
-    obs::Counter* stream_mru_hit = nullptr;
-    obs::Counter* stream_mru_fallback = nullptr;
-    obs::Counter* ips_mru_hit = nullptr;
-    obs::Counter* ips_mru_fallback = nullptr;
-    obs::Counter* steal_count = nullptr;
-    obs::Counter* steal_jobs = nullptr;
-    // metrics_exclusive only (single-writer live levels):
-    std::vector<obs::TimeWeightedStat*> proc_queue;
-    obs::TimeWeightedStat* global_queue = nullptr;
-  };
-  ObsHooks hooks_;
+  // Observability-only accumulators, written only when obs_on_ (a metrics
+  // registry is attached) and published by exportRunMetrics.
   bool obs_on_ = false;
-  // Internal per-processor integrals (always safe; exported as averages).
+  OnlineStats l1_warm_;  ///< per-packet warm fraction of the L1 reload
+  OnlineStats l2_warm_;
+  OnlineStats l3_warm_;  ///< shared-LLC topologies only (ΔL3 > 0)
+  std::uint64_t stream_mru_hit_ = 0;
+  std::uint64_t stream_mru_fallback_ = 0;
+  std::uint64_t ips_mru_hit_ = 0;
+  std::uint64_t ips_mru_fallback_ = 0;
   std::vector<TimeWeighted> proc_queue_tw_;
   std::vector<TimeWeighted> proc_busy_tw_;
-  TimeWeighted global_queue_tw_;
   // Trace tracks (one per processor + one control track).
   std::vector<std::uint32_t> trace_tracks_;
   std::uint32_t trace_ctl_track_ = 0;

@@ -254,29 +254,47 @@ bool parseFlow(const ConfigFile& cfg, SimConfig& out, std::string* error) {
   return true;
 }
 
+// Machine and run values are checked with negated comparisons, so a NaN
+// fails too. Each would otherwise abort the run (a negative delay schedules
+// an event in the past) or corrupt its output (a zero window divides by 0).
+bool parseMachine(const ConfigFile& cfg, SimConfig& out, std::string* error) {
+  if (!readInt(cfg, "machine.processors", 8, &out.num_procs, error, 1, 64)) return false;
+  out.lock_overhead_us = cfg.getDouble("machine.lock_overhead_us", 20.0);
+  out.critical_section_us = cfg.getDouble("machine.critical_section_us", 8.0);
+  out.bus_occupancy_fraction = cfg.getDouble("machine.bus_occupancy", 0.0);
+  if (!(out.lock_overhead_us >= 0.0)) return fail(error, "machine.lock_overhead_us must be >= 0");
+  if (!(out.critical_section_us >= 0.0))
+    return fail(error, "machine.critical_section_us must be >= 0");
+  if (!(out.bus_occupancy_fraction >= 0.0 && out.bus_occupancy_fraction <= 1.0))
+    return fail(error, "machine.bus_occupancy must be in [0, 1]");
+  return true;
+}
+
+bool parseRun(const ConfigFile& cfg, SimConfig& out, std::string* error) {
+  if (!readInt(cfg, "run.seed", 1, &out.seed, error)) return false;
+  out.warmup_us = cfg.getDouble("run.warmup_us", 200'000.0);
+  out.measure_us = cfg.getDouble("run.measure_us", 2'000'000.0);
+  out.fixed_overhead_us = cfg.getDouble("run.v_us", 0.0);
+  out.per_stream_stats = cfg.getBool("run.per_stream", false);
+  if (!readInt(cfg, "run.parallel", 0, &out.parallel_procs, error)) return false;
+  if (!(out.warmup_us >= 0.0)) return fail(error, "run.warmup_us must be >= 0");
+  if (!(out.measure_us > 0.0)) return fail(error, "run.measure_us must be > 0");
+  if (!(out.fixed_overhead_us >= 0.0)) return fail(error, "run.v_us must be >= 0");
+  return true;
+}
+
 }  // namespace
 
 std::optional<Scenario> buildScenario(const ConfigFile& cfg, std::string* error) {
   Scenario s;
   s.config = defaultSimConfig();
-  if (!readInt(cfg, "machine.processors", 8, &s.config.num_procs, error, 1, 64))
-    return std::nullopt;
-  s.config.lock_overhead_us = cfg.getDouble("machine.lock_overhead_us", 20.0);
-  s.config.critical_section_us = cfg.getDouble("machine.critical_section_us", 8.0);
-  s.config.bus_occupancy_fraction = cfg.getDouble("machine.bus_occupancy", 0.0);
-
+  if (!parseMachine(cfg, s.config, error)) return std::nullopt;
   if (!parseModel(cfg, s.model, error)) return std::nullopt;
   if (!parseCache(cfg, s.config.num_procs, s.model, error)) return std::nullopt;
   if (!parseWorkload(cfg, s.streams, error)) return std::nullopt;
   if (!parsePolicy(cfg, s.config, error)) return std::nullopt;
   if (!parseFlow(cfg, s.config, error)) return std::nullopt;
-
-  if (!readInt(cfg, "run.seed", 1, &s.config.seed, error)) return std::nullopt;
-  s.config.warmup_us = cfg.getDouble("run.warmup_us", 200'000.0);
-  s.config.measure_us = cfg.getDouble("run.measure_us", 2'000'000.0);
-  s.config.fixed_overhead_us = cfg.getDouble("run.v_us", 0.0);
-  s.config.per_stream_stats = cfg.getBool("run.per_stream", false);
-  if (!readInt(cfg, "run.parallel", 0, &s.config.parallel_procs, error)) return std::nullopt;
+  if (!parseRun(cfg, s.config, error)) return std::nullopt;
   s.run_until_confident = cfg.getBool("run.confident", false);
 
   if (s.config.adaptive_hybrid && s.config.policy.paradigm != Paradigm::kHybrid) {

@@ -179,7 +179,7 @@ const std::map<std::string, std::set<std::string>>& layerDeps() {
       {"util", {}},
       {"net", {"util"}},
       {"stats", {"util"}},
-      {"obs", {"util"}},
+      {"obs", {"stats", "util"}},
       {"sim", {"util"}},
       {"cache", {"util"}},
       {"proto", {"util"}},
@@ -272,7 +272,7 @@ void ruleMetricName(const FileCtx& ctx) {
       !startsWith(ctx.path, "bench/"))
     return;
   static const std::regex kCall(
-      R"re((\.|->)\s*(counter|gauge|meanStat|timeWeighted|histogram)\s*\(\s*(?:[A-Za-z_][A-Za-z0-9_]*\s*\+\s*)?"([^"]*)")re");
+      R"re((\.|->)\s*(counter|gauge|meanStat|mergeHistogram)\s*\(\s*(?:[A-Za-z_][A-Za-z0-9_]*\s*\+\s*)?"([^"]*)")re");
   for (std::size_t i = 0; i < ctx.v.text.size(); ++i) {
     const std::string& line = ctx.v.text[i];
     for (std::sregex_iterator it(line.begin(), line.end(), kCall), end; it != end; ++it) {

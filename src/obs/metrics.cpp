@@ -1,8 +1,6 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/check.hpp"
 
@@ -32,17 +30,21 @@ void atomicMax(std::atomic<double>& a, double x) noexcept {
 
 // ---------------------------------------------------------------- MeanStat
 
-void MeanStat::add(double x) noexcept {
-  // First sample seeds min/max; racing first samples both run the CAS loops,
+void MeanStat::merge(const OnlineStats& s) noexcept {
+  if (s.count() > 0) accumulate(s.count(), s.sum(), s.min(), s.max());
+}
+
+void MeanStat::accumulate(std::uint64_t n, double sum, double lo, double hi) noexcept {
+  // First samples seed min/max; racing first samples both run the CAS loops,
   // so the extrema stay correct either way.
-  if (count_.fetch_add(1, std::memory_order_relaxed) == 0) {
-    min_.store(x, std::memory_order_relaxed);
-    max_.store(x, std::memory_order_relaxed);
+  if (count_.fetch_add(n, std::memory_order_relaxed) == 0) {
+    min_.store(lo, std::memory_order_relaxed);
+    max_.store(hi, std::memory_order_relaxed);
   } else {
-    atomicMin(min_, x);
-    atomicMax(max_, x);
+    atomicMin(min_, lo);
+    atomicMax(max_, hi);
   }
-  atomicAdd(sum_, x);
+  atomicAdd(sum_, sum);
 }
 
 double MeanStat::mean() const noexcept {
@@ -53,87 +55,6 @@ double MeanStat::mean() const noexcept {
 double MeanStat::min() const noexcept { return min_.load(std::memory_order_relaxed); }
 double MeanStat::max() const noexcept { return max_.load(std::memory_order_relaxed); }
 
-// -------------------------------------------------------- TimeWeightedStat
-
-void TimeWeightedStat::set(double t, double level) noexcept {
-  if (!started_) {
-    started_ = true;
-    start_t_ = last_t_ = t;
-  } else if (t > last_t_) {
-    area_ += level_ * (t - last_t_);
-    last_t_ = t;
-  }
-  level_ = level;
-  if (level > max_level_) max_level_ = level;
-}
-
-double TimeWeightedStat::average() const noexcept {
-  const double span = last_t_ - start_t_;
-  return span > 0.0 ? area_ / span : 0.0;
-}
-
-// ------------------------------------------------------------ LatencyHisto
-
-LatencyHisto::LatencyHisto(double min_value, int decades, int buckets_per_decade)
-    : min_value_(min_value),
-      log_min_(std::log10(min_value)),
-      inv_log_step_(buckets_per_decade),
-      log_step_(1.0 / buckets_per_decade),
-      buckets_(static_cast<std::size_t>(decades) * buckets_per_decade) {
-  AFF_CHECK(min_value > 0.0 && decades > 0 && buckets_per_decade > 0);
-}
-
-void LatencyHisto::add(double x) noexcept {
-  total_.fetch_add(1, std::memory_order_relaxed);
-  atomicAdd(sum_, x);
-  if (!(x >= min_value_)) {  // also catches NaN
-    underflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const auto idx = static_cast<std::size_t>((std::log10(x) - log_min_) * inv_log_step_);
-  if (idx >= buckets_.size()) {
-    overflow_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-}
-
-double LatencyHisto::bucketLow(std::size_t i) const noexcept {
-  return std::pow(10.0, log_min_ + static_cast<double>(i) * log_step_);
-}
-
-LatencyHisto::Snapshot LatencyHisto::snapshot() const {
-  Snapshot s;
-  std::vector<std::uint64_t> counts(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  const std::uint64_t under = underflow_.load(std::memory_order_relaxed);
-  s.overflow = overflow_.load(std::memory_order_relaxed);
-  std::uint64_t in_buckets = 0;
-  for (auto c : counts) in_buckets += c;
-  s.count = in_buckets + under + s.overflow;
-  if (s.count == 0) return s;
-  s.mean = sum_.load(std::memory_order_relaxed) / static_cast<double>(s.count);
-
-  // Percentiles over the ranked [underflow | buckets | overflow] sequence;
-  // a percentile landing in a bucket reports the bucket's geometric midpoint.
-  const auto quantile = [&](double q) {
-    const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(s.count - 1));
-    if (rank < under) return min_value_;
-    std::uint64_t seen = under;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      seen += counts[i];
-      if (rank < seen) return bucketLow(i) * std::pow(10.0, 0.5 * log_step_);
-    }
-    return bucketLow(counts.size());  // overflow: report the histogram ceiling
-  };
-  s.p50 = quantile(0.50);
-  s.p95 = quantile(0.95);
-  s.p99 = quantile(0.99);
-  return s;
-}
-
 // --------------------------------------------------------- MetricSample
 
 const char* MetricSample::kindName() const noexcept {
@@ -141,7 +62,6 @@ const char* MetricSample::kindName() const noexcept {
     case Kind::kCounter: return "counter";
     case Kind::kGauge: return "gauge";
     case Kind::kMean: return "mean";
-    case Kind::kTimeWeighted: return "time_weighted";
     case Kind::kHistogram: return "histogram";
   }
   return "unknown";
@@ -187,21 +107,14 @@ MeanStat& MetricsRegistry::meanStat(const std::string& name) {
   return *e.mean;
 }
 
-TimeWeightedStat& MetricsRegistry::timeWeighted(const std::string& name) {
-  MutexLock lock(mu_);
-  Entry& e = find_or_create_locked(name, MetricSample::Kind::kTimeWeighted);
-  if (!e.time_weighted) e.time_weighted = std::make_unique<TimeWeightedStat>();
-  return *e.time_weighted;
-}
-
-LatencyHisto& MetricsRegistry::histogram(const std::string& name, double min_value, int decades,
-                                         int buckets_per_decade) {
+void MetricsRegistry::mergeHistogram(const std::string& name, const Histogram& h) {
   MutexLock lock(mu_);
   Entry& e = find_or_create_locked(name, MetricSample::Kind::kHistogram);
-  if (!e.histogram) {
-    e.histogram = std::make_unique<LatencyHisto>(min_value, decades, buckets_per_decade);
+  if (e.histogram) {
+    e.histogram->merge(h);
+  } else {
+    e.histogram = std::make_unique<Histogram>(h);
   }
-  return *e.histogram;
 }
 
 std::size_t MetricsRegistry::size() const {
@@ -231,19 +144,14 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
         s.min = e.mean->min();
         s.max = e.mean->max();
         break;
-      case MetricSample::Kind::kTimeWeighted:
-        s.value = e.time_weighted->average();
-        s.last = e.time_weighted->level();
-        s.max = e.time_weighted->maxLevel();
-        break;
       case MetricSample::Kind::kHistogram: {
-        const auto h = e.histogram->snapshot();
-        s.count = h.count;
-        s.value = h.mean;
-        s.p50 = h.p50;
-        s.p95 = h.p95;
-        s.p99 = h.p99;
-        s.overflow = h.overflow;
+        const Histogram& h = *e.histogram;
+        s.count = h.count();
+        s.value = h.mean();
+        s.p50 = h.quantile(0.50);
+        s.p95 = h.quantile(0.95);
+        s.p99 = h.quantile(0.99);
+        s.overflow = h.overflow();
         break;
       }
     }
@@ -253,6 +161,12 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::writeJson(std::FILE* out) const {
+  // JSON has no NaN or infinity: a non-finite value is written as null.
+  const auto num = [](double v) {
+    char buf[32] = "null";
+    if (std::isfinite(v)) std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
   const auto samples = snapshot();
   std::fprintf(out, "{\n  \"metrics\": [\n");
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -264,21 +178,19 @@ void MetricsRegistry::writeJson(std::FILE* out) const {
         std::fprintf(out, ", \"value\": %llu", static_cast<unsigned long long>(s.count));
         break;
       case MetricSample::Kind::kGauge:
-        std::fprintf(out, ", \"value\": %.17g", s.value);
+        std::fprintf(out, ", \"value\": %s", num(s.value).c_str());
         break;
       case MetricSample::Kind::kMean:
-        std::fprintf(out, ", \"count\": %llu, \"mean\": %.17g, \"min\": %.17g, \"max\": %.17g",
-                     static_cast<unsigned long long>(s.count), s.value, s.min, s.max);
-        break;
-      case MetricSample::Kind::kTimeWeighted:
-        std::fprintf(out, ", \"avg\": %.17g, \"last\": %.17g, \"max\": %.17g", s.value, s.last,
-                     s.max);
+        std::fprintf(out, ", \"count\": %llu, \"mean\": %s, \"min\": %s, \"max\": %s",
+                     static_cast<unsigned long long>(s.count), num(s.value).c_str(),
+                     num(s.min).c_str(), num(s.max).c_str());
         break;
       case MetricSample::Kind::kHistogram:
         std::fprintf(out,
-                     ", \"count\": %llu, \"mean\": %.17g, \"p50\": %.17g, \"p95\": %.17g, "
-                     "\"p99\": %.17g, \"overflow\": %llu",
-                     static_cast<unsigned long long>(s.count), s.value, s.p50, s.p95, s.p99,
+                     ", \"count\": %llu, \"mean\": %s, \"p50\": %s, \"p95\": %s, "
+                     "\"p99\": %s, \"overflow\": %llu",
+                     static_cast<unsigned long long>(s.count), num(s.value).c_str(),
+                     num(s.p50).c_str(), num(s.p95).c_str(), num(s.p99).c_str(),
                      static_cast<unsigned long long>(s.overflow));
         break;
     }

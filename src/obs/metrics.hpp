@@ -1,15 +1,17 @@
-// metrics.hpp — lock-free metrics registry (docs/OBSERVABILITY.md).
+// metrics.hpp — metrics registry (docs/OBSERVABILITY.md).
 //
 // A MetricsRegistry is a name -> instrument map that the simulator, the
-// sweep runner, the scheduling layer and the real-thread engines register
-// into. Instruments are built for the two usage patterns in this repo:
+// sweep runner and the chaos harness publish into. Instruments are built
+// for the two usage patterns in this repo:
 //
-//   * hot-path updates from concurrent threads (engine workers, parallel
-//     sweep points): Counter / Gauge / MeanStat / LatencyHisto update with
-//     relaxed atomics only — no locks, no allocation, wait-free except for
-//     the bounded CAS loops on double accumulators;
-//   * single-writer simulated-time integrals (queue depths, busy
-//     processors): TimeWeightedStat, plain fields, owned by one simulation.
+//   * live updates from concurrent threads (engine workers, parallel sweep
+//     points): Counter / Gauge / MeanStat update with relaxed atomics only
+//     — no locks, no allocation, wait-free except for the bounded CAS loops
+//     on double accumulators;
+//   * finished accumulators published once per run: the simulator keeps its
+//     statistics in src/stats and merges them in after the run (counters
+//     by inc(n), OnlineStats by MeanStat::merge, a stats Histogram by
+//     mergeHistogram, which takes the registry mutex).
 //
 // Registration (find-or-create by name) takes a mutex — it happens once per
 // metric, never per sample. References returned by the registry are stable
@@ -19,7 +21,7 @@
 // consistent with each other, exactly consistent per instrument).
 //
 // Naming scheme: dotted lowercase paths, "<domain>.<subsystem>.<metric>",
-// e.g. "sim.affinity.l2_warm_fraction", "engine.ips.worker.3.processed".
+// e.g. "sim.affinity.l2_warm_fraction", "chaos.ips.worker.3.processed".
 // Per-entity instruments embed the entity index as a path segment.
 #pragma once
 
@@ -31,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "stats/histogram.hpp"
+#include "stats/online.hpp"
 #include "util/mutex.hpp"
 
 namespace affinity::obs {
@@ -51,11 +55,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) noexcept { v_.store(v, std::memory_order_relaxed); }
-  void add(double d) noexcept {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-    }
-  }
   [[nodiscard]] double value() const noexcept { return v_.load(std::memory_order_relaxed); }
 
  private:
@@ -65,7 +64,9 @@ class Gauge {
 /// Streaming mean/min/max over added samples (no per-sample storage).
 class MeanStat {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept { accumulate(1, x, x, x); }
+  /// Adds every sample a finished OnlineStats saw (no-op when it is empty).
+  void merge(const OnlineStats& s) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -75,84 +76,25 @@ class MeanStat {
   [[nodiscard]] double max() const noexcept;
 
  private:
+  void accumulate(std::uint64_t n, double sum, double lo, double hi) noexcept;
+
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};
   std::atomic<double> max_{0.0};
 };
 
-/// Time average of a piecewise-constant signal (queue depth, busy workers).
-/// SINGLE WRITER: owned by one simulation/thread; snapshot after finalize().
-class TimeWeightedStat {
- public:
-  /// Signal changed to `level` at time `t` (nondecreasing).
-  void set(double t, double level) noexcept;
-  void adjust(double t, double delta) noexcept { set(t, level_ + delta); }
-  /// Closes the integral at `t` (typically the end of the run).
-  void finalize(double t) noexcept { set(t, level_); }
-
-  [[nodiscard]] double level() const noexcept { return level_; }
-  /// Time average over the observed span (0 before two set() calls).
-  [[nodiscard]] double average() const noexcept;
-  [[nodiscard]] double maxLevel() const noexcept { return max_level_; }
-
- private:
-  double level_ = 0.0;
-  double last_t_ = 0.0;
-  double start_t_ = 0.0;
-  double area_ = 0.0;
-  double max_level_ = 0.0;
-  bool started_ = false;
-};
-
-/// Fixed-bucket log-linear latency histogram with lock-free adds:
-/// `buckets_per_decade` buckets per factor of 10 covering
-/// [min_value, min_value * 10^decades); under/overflow buckets catch the
-/// rest. Same bucket geometry as stats::Histogram, but every bucket is a
-/// relaxed atomic so engine workers can add concurrently.
-class LatencyHisto {
- public:
-  LatencyHisto(double min_value, int decades, int buckets_per_decade);
-
-  void add(double x) noexcept;
-
-  struct Snapshot {
-    std::uint64_t count = 0;
-    std::uint64_t overflow = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-  };
-  /// Consistent-enough view under concurrent adds (exact once writers stop).
-  [[nodiscard]] Snapshot snapshot() const;
-
- private:
-  [[nodiscard]] double bucketLow(std::size_t i) const noexcept;
-
-  double min_value_;
-  double log_min_;
-  double inv_log_step_;
-  double log_step_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> underflow_{0};
-  std::atomic<std::uint64_t> overflow_{0};
-  std::atomic<std::uint64_t> total_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 /// One exported sample of any instrument (see MetricsRegistry::snapshot).
 struct MetricSample {
-  enum class Kind : std::uint8_t { kCounter, kGauge, kMean, kTimeWeighted, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kGauge, kMean, kHistogram };
   std::string name;
   Kind kind = Kind::kCounter;
   // Populated per kind; unused fields stay zero.
   std::uint64_t count = 0;   ///< counter value / sample count
-  double value = 0.0;        ///< gauge value / mean / time-weighted average
+  double value = 0.0;        ///< gauge value / mean
   double min = 0.0, max = 0.0;
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;
   std::uint64_t overflow = 0;
-  double last = 0.0;  ///< time-weighted final level
 
   [[nodiscard]] const char* kindName() const noexcept;
 };
@@ -169,9 +111,9 @@ class MetricsRegistry {
   Counter& counter(const std::string& name) AFF_EXCLUDES(mu_);
   Gauge& gauge(const std::string& name) AFF_EXCLUDES(mu_);
   MeanStat& meanStat(const std::string& name) AFF_EXCLUDES(mu_);
-  TimeWeightedStat& timeWeighted(const std::string& name) AFF_EXCLUDES(mu_);
-  LatencyHisto& histogram(const std::string& name, double min_value = 0.05, int decades = 9,
-                          int buckets_per_decade = 32) AFF_EXCLUDES(mu_);
+  /// Adds a finished histogram's samples to the one named `name` (the first
+  /// merge fixes the geometry; a later one with another geometry aborts).
+  void mergeHistogram(const std::string& name, const Histogram& h) AFF_EXCLUDES(mu_);
 
   [[nodiscard]] std::size_t size() const AFF_EXCLUDES(mu_);
 
@@ -189,8 +131,7 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<MeanStat> mean;
-    std::unique_ptr<TimeWeightedStat> time_weighted;
-    std::unique_ptr<LatencyHisto> histogram;
+    std::unique_ptr<Histogram> histogram;  ///< read and written under mu_ only
   };
 
   // Returns a reference that outlives the lock: entries are pointer-stable

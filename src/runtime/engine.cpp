@@ -144,19 +144,6 @@ void exportFlowStats(const EngineStats& s, obs::MetricsRegistry& reg,
   }
 }
 
-void exportTfnStats(const EngineStats& s, obs::MetricsRegistry& reg,
-                    const std::string& prefix) {
-  const auto g = [&](const char* leaf, std::uint64_t v) {
-    reg.gauge(prefix + "." + leaf).set(static_cast<double>(v));
-  };
-  g("pins", s.nic_pins);
-  g("migrations", s.nic_migrations);
-  g("feedback", s.nic_tfn_feedback);
-  g("deferred", s.nic_tfn_deferred);
-  g("applied", s.nic_tfn_applied);
-  g("stale", s.nic_tfn_stale);
-}
-
 void exportArenaStats(obs::MetricsRegistry& reg, const std::string& prefix) {
   const ArenaStats s = FrameArena::totalStats();
   const auto g = [&](const char* leaf, std::uint64_t v) {
@@ -639,7 +626,7 @@ EngineStats Engine::stats() const {
   s.nic_tfn_applied = ns.tfn_applied;
   s.nic_tfn_stale = ns.tfn_stale;
   s.per_worker_processed.reserve(workers_);
-  Histogram merged(0.05, 8, 32);
+  Histogram merged = LatencyRecorder::emptyHistogram();
   for (const auto& pw : per_worker_) {
     const std::uint64_t p = pw.processed.load();
     s.processed += p;
@@ -655,10 +642,6 @@ EngineStats Engine::stats() const {
   }
   flow_.mergeInto(s);
   return s;
-}
-
-void Engine::exportMetrics(obs::MetricsRegistry& reg, const std::string& prefix) const {
-  exportEngineStats(stats(), reg, prefix.empty() ? std::string("engine.") + shape_.name : prefix);
 }
 
 }  // namespace affinity

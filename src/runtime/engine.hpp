@@ -168,23 +168,17 @@ struct EngineStats {
 };
 
 /// Writes an EngineStats snapshot into `reg` under `prefix` — e.g.
-/// "engine.ips.submitted", "engine.ips.worker.3.processed",
-/// "engine.ips.dropped.ip-bad-checksum". Gauge semantics (absolute values
+/// "chaos.ips.submitted", "chaos.ips.worker.3.processed",
+/// "chaos.ips.dropped.ip-bad-checksum". Gauge semantics (absolute values
 /// at export time), so repeated exports overwrite rather than double-count.
 void exportEngineStats(const EngineStats& s, obs::MetricsRegistry& reg,
                        const std::string& prefix);
 
 /// Writes the flow-table slice of an EngineStats snapshot into `reg` under
-/// the rt.flow.* domain (docs/OBSERVABILITY.md) — e.g. "rt.flow.inserts",
-/// "rt.flow.evicted.capacity". Gauge semantics, like exportEngineStats.
+/// `prefix` — e.g. "chaos.ips.flow.inserts", "chaos.ips.flow.evicted.capacity".
+/// Gauge semantics, like exportEngineStats.
 void exportFlowStats(const EngineStats& s, obs::MetricsRegistry& reg,
-                     const std::string& prefix = "rt.flow");
-
-/// Writes the TransportFriendly dispatch slice of an EngineStats snapshot
-/// into `reg` under the rt.net.tfn.* domain (docs/OBSERVABILITY.md) — e.g.
-/// "rt.net.tfn.applied". Gauge semantics, like exportEngineStats.
-void exportTfnStats(const EngineStats& s, obs::MetricsRegistry& reg,
-                    const std::string& prefix = "rt.net.tfn");
+                     const std::string& prefix);
 
 /// Writes the process-wide FrameArena counters into `reg` under the
 /// rt.arena.* domain (docs/OBSERVABILITY.md) — e.g. "rt.arena.allocs",
@@ -214,7 +208,11 @@ struct WorkItem {
 /// the engine runs; merged by stats() after workers quiesce).
 class LatencyRecorder {
  public:
-  LatencyRecorder() : hist_(0.05, 8, 32) {}
+  /// An empty histogram with every recorder's bucket geometry (µs), so the
+  /// per-worker histograms merge into one (Engine::stats()).
+  static Histogram emptyHistogram() { return Histogram(0.05, 8, 32); }
+
+  LatencyRecorder() : hist_(emptyHistogram()) {}
 
   void record(std::chrono::steady_clock::time_point enqueue_tp) {
     const auto now = std::chrono::steady_clock::now();
@@ -362,10 +360,6 @@ class Engine {
   void injectWorkerStall(unsigned w, std::chrono::milliseconds d) { pool_.injectStall(w, d); }
 
   [[nodiscard]] EngineStats stats() const;
-
-  /// stats() snapshot into `reg` under `prefix` (see exportEngineStats);
-  /// an empty prefix means "engine.<shape name>".
-  void exportMetrics(obs::MetricsRegistry& reg, const std::string& prefix = {}) const;
 
  protected:
   Engine(unsigned workers, const EngineShape& shape, HostConfig host,

@@ -11,6 +11,7 @@ void TimeWeighted::set(double t, double level) noexcept {
   }
   last_t_ = t;
   level_ = level;
+  if (level > max_level_) max_level_ = level;
 }
 
 double TimeWeighted::average(double t_end) const noexcept {
@@ -22,6 +23,7 @@ double TimeWeighted::average(double t_end) const noexcept {
 
 void TimeWeighted::resetAt(double t) noexcept {
   area_ = 0.0;
+  max_level_ = level_;
   start_t_ = t;
   if (t > last_t_) last_t_ = t;
 }

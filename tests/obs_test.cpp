@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -16,8 +17,10 @@
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "core/sweep_runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "stats/time_weighted.hpp"
 
 namespace affinity::obs {
 namespace {
@@ -155,7 +158,7 @@ TEST(Metrics, CounterAndGauge) {
   Gauge g;
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.add(-1.0);
+  g.set(1.5);  // last write wins
   EXPECT_DOUBLE_EQ(g.value(), 1.5);
 }
 
@@ -168,6 +171,21 @@ TEST(Metrics, MeanStatTracksMinMeanMax) {
   EXPECT_DOUBLE_EQ(m.mean(), 4.0);
   EXPECT_DOUBLE_EQ(m.min(), 2.0);
   EXPECT_DOUBLE_EQ(m.max(), 6.0);
+
+  // The same samples published as finished accumulators.
+  OnlineStats first;
+  for (double x : {4.0, 2.0}) first.add(x);
+  OnlineStats second;
+  second.add(6.0);
+  MeanStat merged;
+  merged.merge(OnlineStats{});  // an empty accumulator adds nothing
+  EXPECT_EQ(merged.count(), 0u);
+  merged.merge(first);
+  merged.merge(second);
+  EXPECT_EQ(merged.count(), 3u);
+  EXPECT_DOUBLE_EQ(merged.mean(), 4.0);
+  EXPECT_DOUBLE_EQ(merged.min(), 2.0);
+  EXPECT_DOUBLE_EQ(merged.max(), 6.0);
 }
 
 TEST(Metrics, MeanStatConcurrentAdds) {
@@ -188,34 +206,28 @@ TEST(Metrics, MeanStatConcurrentAdds) {
 }
 
 TEST(Metrics, TimeWeightedAverage) {
-  TimeWeightedStat tw;
+  // Queue levels are kept in a TimeWeighted and published as avg/peak gauges.
+  TimeWeighted tw;
   tw.set(0.0, 0.0);
   tw.set(10.0, 4.0);  // level 0 for [0,10)
-  tw.set(30.0, 1.0);  // level 4 for [10,30)
-  tw.finalize(40.0);  // level 1 for [30,40)
+  tw.set(30.0, 1.0);  // level 4 for [10,30), level 1 for [30,40)
   // (0*10 + 4*20 + 1*10) / 40 = 2.25
-  EXPECT_DOUBLE_EQ(tw.average(), 2.25);
+  EXPECT_DOUBLE_EQ(tw.average(40.0), 2.25);
   EXPECT_DOUBLE_EQ(tw.maxLevel(), 4.0);
   EXPECT_DOUBLE_EQ(tw.level(), 1.0);
 }
 
-TEST(Metrics, TimeWeightedIgnoresBackwardsTime) {
-  TimeWeightedStat tw;
-  tw.set(0.0, 2.0);
-  tw.set(10.0, 4.0);
-  tw.set(5.0, 8.0);  // time regression: level updates, no negative area
-  tw.finalize(20.0);
-  // area = 2*10 + 8*10 = 100 over [0,20]
-  EXPECT_DOUBLE_EQ(tw.average(), 5.0);
-}
-
 TEST(Metrics, LatencyHistoQuantiles) {
-  LatencyHisto h(0.05, 9, 32);
+  Histogram h(0.05, 9, 32);
   for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
-  const auto s = h.snapshot();
+  MetricsRegistry reg;
+  reg.mergeHistogram("sim.delay_us", h);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  const MetricSample& s = snap.front();
   EXPECT_EQ(s.count, 100u);
   EXPECT_EQ(s.overflow, 0u);
-  EXPECT_NEAR(s.mean, 50.5, 1e-9);
+  EXPECT_NEAR(s.value, 50.5, 1e-9);
   // Bucketed quantiles land within one log-bucket (~7.5 %) of the truth.
   EXPECT_NEAR(s.p50, 50.0, 50.0 * 0.08);
   EXPECT_NEAR(s.p95, 95.0, 95.0 * 0.08);
@@ -223,13 +235,16 @@ TEST(Metrics, LatencyHistoQuantiles) {
 }
 
 TEST(Metrics, LatencyHistoOverflowAndUnderflow) {
-  LatencyHisto h(1.0, 2, 8);  // covers [1, 100)
-  h.add(0.5);     // underflow
-  h.add(1e9);     // overflow
+  Histogram h(1.0, 2, 8);  // covers [1, 100)
+  h.add(0.5);              // underflow
+  h.add(1e9);              // overflow
   h.add(10.0);
-  const auto s = h.snapshot();
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_EQ(s.overflow, 1u);
+  MetricsRegistry reg;
+  reg.mergeHistogram("sim.delay_us", h);
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  EXPECT_EQ(snap.front().count, 3u);
+  EXPECT_EQ(snap.front().overflow, 1u);
 }
 
 // ---- registry -------------------------------------------------------------
@@ -269,9 +284,9 @@ TEST(Registry, WriteJsonIsValidJson) {
   reg.counter("sim.packets.arrived").inc(7);
   reg.gauge("engine.locking.delivered").set(123.0);
   reg.meanStat("sim.run.mean_delay_us").add(251.5);
-  reg.timeWeighted("sim.queue.global_depth").set(0.0, 1.0);
-  reg.timeWeighted("sim.queue.global_depth").finalize(10.0);
-  reg.histogram("sim.delay_us").add(100.0);
+  Histogram delays(0.1, 8, 32);
+  delays.add(100.0);
+  reg.mergeHistogram("sim.delay_us", delays);
   // A name that needs escaping must not break the document.
   reg.counter("weird\"name\\with\tescapes").inc();
 
@@ -282,6 +297,30 @@ TEST(Registry, WriteJsonIsValidJson) {
   EXPECT_NE(text.find("sim.packets.arrived"), std::string::npos);
   EXPECT_NE(text.find("histogram"), std::string::npos);
   fs::remove(path);
+}
+
+TEST(Registry, NonFiniteValuesExportAsNull) {
+  // JSON has no NaN or infinity; printf's "nan"/"-nan"/"inf" would make the
+  // whole document unreadable.
+  MetricsRegistry reg;
+  reg.gauge("sim.nan_gauge").set(std::numeric_limits<double>::quiet_NaN());
+  reg.gauge("sim.neg_nan_gauge").set(-std::numeric_limits<double>::quiet_NaN());
+  reg.gauge("sim.inf_gauge").set(std::numeric_limits<double>::infinity());
+  reg.meanStat("sim.nan_mean").add(std::numeric_limits<double>::quiet_NaN());
+
+  const std::string path = tempPath("obs_test_nonfinite_metrics.json");
+  ASSERT_TRUE(reg.writeJson(path));
+  const std::string text = readFile(path);
+  EXPECT_TRUE(JsonChecker(text).valid()) << text;
+  EXPECT_NE(text.find("\"value\": null"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"mean\": null"), std::string::npos) << text;
+  fs::remove(path);
+}
+
+TEST(RegistryDeathTest, HistogramGeometryMismatchAborts) {
+  MetricsRegistry reg;
+  reg.mergeHistogram("sim.delay_us", Histogram(0.1, 8, 32));
+  EXPECT_DEATH(reg.mergeHistogram("sim.delay_us", Histogram(0.05, 8, 32)), "CHECK failed");
 }
 
 TEST(Registry, JsonEscape) {
@@ -424,7 +463,6 @@ TEST(Trace, ProtocolSimExportsValidTraceAndMetrics) {
   MetricsRegistry reg;
   TraceSession trace;
   c.metrics = &reg;
-  c.metrics_exclusive = true;
   c.trace = &trace;
 
   const auto model = ExecTimeModel::standard();
@@ -470,7 +508,6 @@ TEST(Registry, ZeroReloadTransientExportsValidJson) {
   c.measure_us = 100'000.0;
   MetricsRegistry reg;
   c.metrics = &reg;
-  c.metrics_exclusive = true;
   const RunMetrics m = runOnce(c, model, makePoissonStreams(8, 0.02));
   ASSERT_GT(m.completed, 0u);
 
@@ -480,6 +517,92 @@ TEST(Registry, ZeroReloadTransientExportsValidJson) {
   const std::string text = readFile(path);
   EXPECT_TRUE(JsonChecker(text).valid()) << text;
   fs::remove(path);
+}
+
+const MetricSample* findSample(const std::vector<MetricSample>& snap, const std::string& name) {
+  for (const auto& s : snap)
+    if (s.name == name) return &s;
+  return nullptr;
+}
+
+TEST(Registry, SimPublishesTheAccumulatorsRunMetricsComesFrom) {
+  // The registry holds the run's own statistics, not a second copy kept
+  // beside them: every published figure equals its RunMetrics field exactly.
+  SimConfig c = defaultSimConfig();
+  c.num_procs = 4;
+  c.seed = 11;
+  c.warmup_us = 10'000.0;
+  c.measure_us = 100'000.0;
+  c.policy.paradigm = Paradigm::kLocking;
+  c.policy.locking = LockingPolicy::kStealAffinity;
+  MetricsRegistry reg;
+  c.metrics = &reg;
+  const RunMetrics m =
+      runOnce(c, ExecTimeModel::standard(), makeBatchStreams(8, 0.012, 4.0));
+  ASSERT_GT(m.completed, 0u);
+  ASSERT_GT(m.steals, 0u) << "the run must exercise the steal counters";
+
+  const auto snap = reg.snapshot();
+  const MetricSample* delay = findSample(snap, "sim.delay_us");
+  ASSERT_NE(delay, nullptr);
+  EXPECT_EQ(delay->count, m.completed);
+  EXPECT_EQ(delay->p50, m.p50_delay_us);
+  EXPECT_EQ(delay->p95, m.p95_delay_us);
+  EXPECT_EQ(delay->p99, m.p99_delay_us);
+  EXPECT_EQ(reg.counter("sim.packets.arrived").value(), m.arrived);
+  EXPECT_EQ(reg.counter("sim.packets.completed").value(), m.completed);
+  EXPECT_EQ(reg.counter("sim.sched.steal.count").value(), m.steals);
+  EXPECT_EQ(reg.counter("sim.sched.steal.jobs").value(), m.stolen_jobs);
+  EXPECT_EQ(reg.meanStat("sim.service_us").count(), m.completed);
+  EXPECT_NEAR(reg.meanStat("sim.service_us").mean(), m.mean_service_us,
+              1e-9 * m.mean_service_us);
+  for (unsigned p = 0; p < c.num_procs; ++p) {
+    const std::string base = "sim.proc." + std::to_string(p);
+    const MetricSample* avg = findSample(snap, base + ".queue_depth_avg");
+    const MetricSample* peak = findSample(snap, base + ".queue_depth_peak");
+    ASSERT_NE(avg, nullptr);
+    ASSERT_NE(peak, nullptr);
+    EXPECT_GE(peak->value, avg->value);
+  }
+}
+
+TEST(Registry, SweepPointsShareOneRegistry) {
+  // Parallel sweep points merge into one registry under its mutex; the
+  // merged histogram is the same whatever the worker count.
+  const auto model = ExecTimeModel::standard();
+  const auto sweep = [&](unsigned jobs, MetricsRegistry& reg) {
+    std::vector<SweepPoint> points;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      SweepPoint p;
+      p.config = defaultSimConfig();
+      p.config.num_procs = 4;
+      p.config.seed = derivePointSeed(2026, i);
+      p.config.warmup_us = 5'000.0;
+      p.config.measure_us = 40'000.0;
+      p.config.metrics = &reg;
+      p.streams = makePoissonStreams(8, 0.008 + 0.002 * static_cast<double>(i));
+      points.push_back(std::move(p));
+    }
+    return SweepRunner(jobs).run(model, points);
+  };
+  MetricsRegistry shared;
+  const auto results = sweep(4, shared);
+  MetricsRegistry serial;
+  sweep(1, serial);
+
+  std::uint64_t completed = 0;
+  for (const auto& m : results) completed += m.completed;
+  const auto snap = shared.snapshot();
+  const auto serial_snap = serial.snapshot();
+  const MetricSample* delay = findSample(snap, "sim.delay_us");
+  const MetricSample* serial_delay = findSample(serial_snap, "sim.delay_us");
+  ASSERT_NE(delay, nullptr);
+  ASSERT_NE(serial_delay, nullptr);
+  EXPECT_EQ(delay->count, completed);
+  EXPECT_EQ(delay->p50, serial_delay->p50);
+  EXPECT_EQ(delay->p95, serial_delay->p95);
+  EXPECT_EQ(delay->p99, serial_delay->p99);
+  EXPECT_EQ(shared.counter("sim.run.count").value(), results.size());
 }
 
 }  // namespace

@@ -204,6 +204,29 @@ TEST(ScenarioTest, RejectsBadReloadParameters) {
   EXPECT_TRUE(scenarioFrom("[cache]\ntopology = modern-llc\nllc_split = 0\n").has_value());
 }
 
+TEST(ScenarioTest, RejectsBadRunAndMachineValues) {
+  // Each of these would abort the run (a negative delay schedules an event
+  // before "now"), divide by a zero window (a NaN throughput and invalid
+  // metrics JSON), or run with a meaningless machine. NaN fails too.
+  expectRejectedNamingKey({
+      {"[machine]\nlock_overhead_us = -1000\n", "machine.lock_overhead_us"},
+      {"[machine]\nlock_overhead_us = nan\n", "machine.lock_overhead_us"},
+      {"[machine]\ncritical_section_us = -1\n", "machine.critical_section_us"},
+      {"[machine]\nbus_occupancy = -0.1\n", "machine.bus_occupancy"},
+      {"[machine]\nbus_occupancy = 1.5\n", "machine.bus_occupancy"},
+      {"[machine]\nbus_occupancy = nan\n", "machine.bus_occupancy"},
+      {"[run]\nv_us = -500\n", "run.v_us"},
+      {"[run]\nmeasure_us = 0\n", "run.measure_us"},
+      {"[run]\nmeasure_us = -1\n", "run.measure_us"},
+      {"[run]\nmeasure_us = nan\n", "run.measure_us"},
+      {"[run]\nwarmup_us = -1\n", "run.warmup_us"},
+  });
+  // The boundaries are accepted.
+  EXPECT_TRUE(scenarioFrom("[machine]\nlock_overhead_us = 0\ncritical_section_us = 0\n"
+                           "bus_occupancy = 1\n[run]\nwarmup_us = 0\nv_us = 0\n")
+                  .has_value());
+}
+
 TEST(ScenarioTest, RejectsKeysTheSelectedModeIgnores) {
   // A key read by one mode only must fail, with its name, under any other
   // mode instead of running with the key silently ignored.

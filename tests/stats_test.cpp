@@ -78,9 +78,12 @@ TEST(Histogram, MeanIsExact) {
 
 TEST(Histogram, OverflowCounted) {
   Histogram h(1.0, 2, 8);  // covers [1, 100)
-  h.add(1e6);
+  h.add(0.5);               // underflow
+  h.add(1e6);               // overflow
+  h.add(10.0);
   EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_DOUBLE_EQ(h.quantile(0.2), 1.0);  // underflow ranks report the range floor
 }
 
 TEST(Histogram, EmptyQuantileIsZero) {
@@ -144,8 +147,10 @@ TEST(TimeWeighted, PiecewiseConstantAverage) {
   TimeWeighted tw;
   tw.set(0.0, 2.0);   // level 2 on [0,10)
   tw.set(10.0, 4.0);  // level 4 on [10,20)
+  tw.set(20.0, 1.0);  // level 1 from t=20
   EXPECT_DOUBLE_EQ(tw.average(20.0), 3.0);
-  EXPECT_DOUBLE_EQ(tw.level(), 4.0);
+  EXPECT_DOUBLE_EQ(tw.level(), 1.0);
+  EXPECT_DOUBLE_EQ(tw.maxLevel(), 4.0);
 }
 
 TEST(TimeWeighted, AdjustAndReset) {
@@ -153,8 +158,11 @@ TEST(TimeWeighted, AdjustAndReset) {
   tw.set(0.0, 1.0);
   tw.adjust(5.0, +1.0);  // level 2 from t=5
   EXPECT_DOUBLE_EQ(tw.average(10.0), 1.5);
-  tw.resetAt(10.0);  // discard history
-  EXPECT_DOUBLE_EQ(tw.average(20.0), 2.0);
+  EXPECT_DOUBLE_EQ(tw.maxLevel(), 2.0);
+  tw.resetAt(10.0);  // discard history; the peak restarts at the level
+  tw.adjust(15.0, -1.0);
+  EXPECT_DOUBLE_EQ(tw.average(20.0), 1.5);
+  EXPECT_DOUBLE_EQ(tw.maxLevel(), 2.0);
 }
 
 TEST(TimeWeighted, EmptyAverageIsZero) {

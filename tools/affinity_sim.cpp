@@ -5,9 +5,10 @@
 //
 // See src/core/scenario.hpp for the schema and scenarios/ for examples.
 // --metrics-out/--trace-out export the run's metrics registry and a
-// virtual-time Chrome trace (one track per simulated processor); since this
-// tool owns the single simulation, the registry gets the live time-weighted
-// instruments too (SimConfig::metrics_exclusive).
+// virtual-time Chrome trace (one track per simulated processor). The
+// registry holds the statistics the run itself computed, so its
+// sim.delay_us quantiles are the p50/p95/p99 this tool prints (a
+// run.confident scenario that doubles its window publishes every attempt).
 #include <cstdio>
 #include <memory>
 
@@ -49,10 +50,7 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry registry;
   std::unique_ptr<obs::TraceSession> trace;
-  if (!metrics_out.empty()) {
-    scenario->config.metrics = &registry;
-    scenario->config.metrics_exclusive = true;  // this tool owns the one sim
-  }
+  if (!metrics_out.empty()) scenario->config.metrics = &registry;
   if (!trace_out.empty()) {
     trace = std::make_unique<obs::TraceSession>();
     scenario->config.trace = trace.get();
