@@ -3,17 +3,18 @@
 // Every bench binary reproduces one table or figure of the paper: it sweeps
 // the figure's x-axis, runs the simulation for each series, and prints the
 // series as an aligned table (or CSV with --csv). EXPERIMENTS.md records the
-// expected shapes next to the paper's.
+// expected shapes next to the paper's. The figures with golden pins take
+// their axes, seeds, configs and series from figures.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/capacity.hpp"
+#include "bench/figures.hpp"
 #include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
@@ -23,8 +24,8 @@ namespace affinity::bench {
 
 /// Owns the optional sinks behind --metrics-out / --trace-out.
 ///
-/// declare() creates one inert instance per driver; the first makeConfig()
-/// or sweep() call after cli.parse() opens the sinks (flag values aren't
+/// declare() creates one inert instance per driver; the first params()
+/// or runner() call after cli.parse() opens the sinks (flag values aren't
 /// known earlier), and the destructor — end of main — writes the files.
 /// Opening the trace sink also activates the session process-globally so
 /// real-thread engines started afterwards pick it up.
@@ -86,19 +87,22 @@ struct CommonFlags {
   const int& jobs;
   const std::string& metrics_out;
   const std::string& trace_out;
-  /// Shared by all copies of this CommonFlags (sweep() and makeConfig()
-  /// route instrument pointers through it).
+  /// Shared by all copies of this CommonFlags (params() and runner() route
+  /// instrument pointers through it).
   std::shared_ptr<ObsOutput> obs;
 
   static CommonFlags declare(Cli& cli) {
+    const FigureParams d;
     return CommonFlags{
-        cli.flag<int>("procs", 8, "number of processors"),
-        cli.flag<int>("streams", 16, "number of concurrent streams"),
-        cli.flag<double>("lock-overhead", 20.0, "per-packet lock overhead under Locking (us)"),
-        cli.flag<double>("critical-section", 8.0, "serialized critical section (us)"),
-        cli.flag<std::uint64_t>("seed", 1, "simulation seed"),
+        cli.flag<int>("procs", d.procs, "number of processors"),
+        cli.flag<int>("streams", d.streams, "number of concurrent streams"),
+        cli.flag<double>("lock-overhead", d.lock_overhead_us,
+                         "per-packet lock overhead under Locking (us)"),
+        cli.flag<double>("critical-section", d.critical_section_us,
+                         "serialized critical section (us)"),
+        cli.flag<std::uint64_t>("seed", d.seed, "simulation seed"),
         cli.flag<bool>("csv", false, "emit CSV instead of an aligned table"),
-        cli.flag<bool>("fast", false, "short windows (CI smoke run)"),
+        cli.flag<bool>("fast", d.fast, "short windows (CI smoke run)"),
         cli.flag<int>("jobs", 1, "sweep worker threads (0 = all hardware threads)"),
         cli.flag<std::string>("metrics-out", "", "write a metrics-registry JSON snapshot here"),
         cli.flag<std::string>("trace-out", "", "write a Chrome trace_event JSON file here"),
@@ -113,52 +117,50 @@ struct CommonFlags {
     return *obs;
   }
 
-  [[nodiscard]] SimConfig makeConfig() const {
-    SimConfig c = defaultSimConfig();
-    c.num_procs = static_cast<unsigned>(procs);
-    c.lock_overhead_us = lock_overhead;
-    c.critical_section_us = critical_section;
-    c.seed = seed;
-    c.warmup_us = fast ? 50'000.0 : 200'000.0;
-    c.measure_us = fast ? 300'000.0 : 2'000'000.0;
-    // Sweep sims share the registry across worker threads; each publishes
-    // its statistics once, after its run. Never SimConfig::trace — virtual
-    // times from parallel points would interleave meaninglessly on one
-    // timeline.
-    c.metrics = observability().metrics();
-    return c;
+  /// The flags that decide a figure's numbers.
+  [[nodiscard]] FigureParams params() const {
+    return {procs, streams, lock_overhead, critical_section, seed, fast,
+            observability().metrics()};
   }
 
-  /// makeConfig() with the measurement window sized for the sweep point's
-  /// rate, so light-load points still complete enough packets.
+  [[nodiscard]] SimConfig makeConfig() const { return params().makeConfig(); }
   [[nodiscard]] SimConfig makeConfigFor(double rate_per_us) const {
-    SimConfig c = makeConfig();
-    setAutoWindow(c, rate_per_us, fast ? 15'000 : 80'000);
-    return c;
+    return params().makeConfigFor(rate_per_us);
+  }
+
+  /// A `--jobs`-wide sweep pool, instrumented with the observability sinks.
+  [[nodiscard]] SweepRunner runner() const {
+    SweepRunner r(static_cast<unsigned>(jobs));
+    ObsOutput& sinks = observability();
+    r.instrument(sinks.metrics(), sinks.trace());
+    return r;
   }
 };
 
-/// Standard arrival-rate sweep (packets/µs). With 8 processors and a warm
-/// service time of ~136 µs the no-overhead capacity is ~0.059 pkts/µs; the
-/// sweep spans light load to near saturation.
-inline std::vector<double> rateSweep(bool fast) {
-  if (fast) return {0.005, 0.015, 0.03};
-  return {0.002, 0.005, 0.008, 0.012, 0.016, 0.020, 0.025, 0.030,
-          0.035, 0.038, 0.040, 0.042, 0.044};
-}
-
-/// Rate sweep extended down to very light load (hundreds of packets per
-/// second), where the IPS policy crossover lives: concentrating stacks (MRU)
-/// keeps the shared protocol text warm while everything else has decayed.
-inline std::vector<double> rateSweepWithLowEnd(bool fast) {
-  if (fast) return {0.0005, 0.005, 0.03};
-  std::vector<double> rates{0.0002, 0.0005, 0.001};
-  for (double r : rateSweep(false)) rates.push_back(r);
-  return rates;
-}
-
 /// Converts packets/µs to the paper's natural packets/s axis label value.
 inline double perSecond(double per_us) { return per_us * 1e6; }
+
+/// Appends each cell's mean delay to the current row.
+inline void addDelays(TableWriter& t, const std::vector<Cell>& cells) {
+  for (const Cell& c : cells) t.add(c.run.mean_delay_us);
+}
+
+/// Appends the % delay reduction of `aff` over `base` (Figs 10 and 11):
+/// "sat" when `aff` saturated, ">N" when only `base` did.
+inline void addReduction(TableWriter& t, const RunMetrics& base, const RunMetrics& aff) {
+  if (aff.saturated) {
+    t.addText("sat");
+  } else if (base.saturated) {
+    // The baseline's backlog is still growing; the true steady-state
+    // reduction is at least this.
+    char buf[32];
+    std::snprintf(buf, sizeof buf, ">%.0f",
+                  std::min(99.0, reductionPercent(base.mean_delay_us, aff.mean_delay_us)));
+    t.addText(buf);
+  } else {
+    t.add(reductionPercent(base.mean_delay_us, aff.mean_delay_us));
+  }
+}
 
 /// The greppable status line scripts/run_perf_smoke.sh keys on. A bench
 /// with an acceptance bar prints exactly one of these as its last stdout
@@ -178,10 +180,7 @@ inline double perSecond(double per_us) { return per_us * 1e6; }
 /// rows through this, then print sequentially.
 template <typename Fn>
 auto sweep(const CommonFlags& flags, std::size_t n, Fn&& fn) {
-  SweepRunner runner(static_cast<unsigned>(flags.jobs));
-  ObsOutput& obs = flags.observability();
-  runner.instrument(obs.metrics(), obs.trace());
-  return runner.map(n, std::forward<Fn>(fn));
+  return flags.runner().map(n, std::forward<Fn>(fn));
 }
 
 /// The derived seed for sweep point `i` (splitmix of --seed and i): every

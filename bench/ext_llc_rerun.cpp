@@ -10,142 +10,70 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "cachesim/rd_capture.hpp"
 
 using namespace affinity;
 using namespace affinity::bench;
-
-namespace {
-
-double lockingDelay(const CommonFlags& flags, const ExecTimeModel& model, LockingPolicy policy,
-                    double rate, std::uint64_t point_index) {
-  const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-  SimConfig c = flags.makeConfigFor(rate);
-  c.seed = derivePointSeed(flags.seed, point_index);
-  c.policy.paradigm = Paradigm::kLocking;
-  c.policy.locking = policy;
-  return runOnce(c, model, streams).mean_delay_us;
-}
-
-double ipsDelay(const CommonFlags& flags, const ExecTimeModel& model, IpsPolicy policy,
-                double rate, std::uint64_t point_index) {
-  const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-  SimConfig c = flags.makeConfigFor(rate);
-  c.seed = derivePointSeed(flags.seed, point_index);
-  c.policy.paradigm = Paradigm::kIps;
-  c.policy.ips = policy;
-  return runOnce(c, model, streams).mean_delay_us;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("ext_llc_rerun", "shared-LLC (2020s topology) rerun of figures 6/8/9/12");
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
+  const FigureParams params = flags.params();
+  const SweepRunner runner = flags.runner();
   const ExecTimeModel legacy = ExecTimeModel::standard();
-  RdCaptureParams capture;
-  capture.co_runners = static_cast<unsigned>(flags.procs);
-  const ExecTimeModel modern(cachedDefaultRdModel(MachineParams::modern2020(), capture),
-                             ReloadParams::measuredUdpReceive().splitForSharedLlc(),
-                             FootprintShares{});
+  const ExecTimeModel modern = modern2020Model(static_cast<unsigned>(flags.procs));
 
   std::printf("# Shared-LLC rerun: 1995 (SST, no LLC) vs 2020s (reuse, 32 MiB shared LLC)\n");
   std::printf("# both t_cold = %.1f us; modern splits dl2 into dl2=%.1f dl3=%.1f\n",
               legacy.tCold(), modern.reloadParams().dl2_us, modern.reloadParams().dl3_us);
 
-  // Figure 6 — Locking delay, MRU vs Wired-Streams around the crossover.
-  {
-    TableWriter t({"rate_pkts_per_s", "MRU_1995", "Wired_1995", "MRU_2020", "Wired_2020"},
-                  flags.csv, 1);
-    const double rates[] = {0.030, 0.034, 0.038, 0.040, 0.042, 0.046};
-    const std::uint64_t idx[] = {5, 7, 9, 10, 11, 13};
-    for (int i = 0; i < 6; ++i) {
+  // A delay table: each row holds its 1995 cells, then its 2020 ones.
+  const auto delays = [&](const char* title, std::vector<std::string> header,
+                          const FigureDef& fig, double x_scale) {
+    TableWriter t(std::move(header), flags.csv, 1);
+    const auto rows_1995 = runTable(fig, legacy, runner);
+    const auto rows_2020 = runTable(fig, modern, runner);
+    for (std::size_t i = 0; i < fig.xs.size(); ++i) {
       t.beginRow();
-      t.add(perSecond(rates[i]));
-      t.add(lockingDelay(flags, legacy, LockingPolicy::kMru, rates[i], idx[i]));
-      t.add(lockingDelay(flags, legacy, LockingPolicy::kWiredStreams, rates[i], idx[i]));
-      t.add(lockingDelay(flags, modern, LockingPolicy::kMru, rates[i], idx[i]));
-      t.add(lockingDelay(flags, modern, LockingPolicy::kWiredStreams, rates[i], idx[i]));
+      t.add(fig.xs[i] * x_scale);
+      addDelays(t, rows_1995[i]);
+      addDelays(t, rows_2020[i]);
     }
-    std::printf("\n## Figure 6 rerun — Locking mean delay (us)\n");
+    std::printf("\n## %s\n", title);
     t.print();
-  }
+  };
+
+  // Figure 6 — Locking delay, MRU vs Wired-Streams around the crossover.
+  delays("Figure 6 rerun — Locking mean delay (us)",
+         {"rate_pkts_per_s", "MRU_1995", "Wired_1995", "MRU_2020", "Wired_2020"},
+         llcFig6(params), 1e6);
 
   // Figure 8 — IPS placement at light load (code-warmth concentration win).
-  {
-    TableWriter t({"rate_pkts_per_s", "Random_1995", "MRU_1995", "Wired_1995", "Random_2020",
-                   "MRU_2020", "Wired_2020"},
-                  flags.csv, 1);
-    const double rates[] = {0.0005, 0.001, 0.004};
-    const std::uint64_t idx[] = {1, 2, 4};
-    for (int i = 0; i < 3; ++i) {
-      t.beginRow();
-      t.add(perSecond(rates[i]));
-      for (const ExecTimeModel* m : {&legacy, &modern})
-        for (IpsPolicy p : {IpsPolicy::kRandom, IpsPolicy::kMru, IpsPolicy::kWired})
-          t.add(ipsDelay(flags, *m, p, rates[i], idx[i]));
-    }
-    std::printf("\n## Figure 8 rerun — IPS mean delay at light load (us)\n");
-    t.print();
-  }
+  delays("Figure 8 rerun — IPS mean delay at light load (us)",
+         {"rate_pkts_per_s", "Random_1995", "MRU_1995", "Wired_1995", "Random_2020", "MRU_2020",
+          "Wired_2020"},
+         llcFig8(params), 1e6);
 
   // Figure 9 — capacity under a 1 ms delay bound, Locking-MRU vs IPS-Wired.
   {
+    const FigureDef fig = llcFig9(params);
     TableWriter t({"model", "Locking_pkts_s", "IPS_pkts_s", "IPS_over_Locking"}, flags.csv, 3);
-    const auto make = [&](double rate) {
-      return makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    };
-    const char* names[] = {"1995", "2020"};
-    const ExecTimeModel* models[] = {&legacy, &modern};
-    for (int i = 0; i < 2; ++i) {
-      SimConfig locking = flags.makeConfig();
-      locking.measure_us = 800'000.0;
-      locking.policy.paradigm = Paradigm::kLocking;
-      locking.policy.locking = LockingPolicy::kMru;
-      SimConfig ips = locking;
-      ips.policy.paradigm = Paradigm::kIps;
-      ips.policy.ips = IpsPolicy::kWired;
-      const CapacityResult cl = findMaxRate(locking, *models[i], make, 0.002, 0.08, 1000.0, 10);
-      const CapacityResult ci = findMaxRate(ips, *models[i], make, 0.002, 0.08, 1000.0, 10);
+    for (const auto& [name, model] : {std::pair{"1995", &legacy}, std::pair{"2020", &modern}}) {
+      const std::vector<Cell> caps = runTable(fig, *model, runner)[0];
       t.beginRow();
-      t.addText(names[i]);
-      t.add(cl.max_rate_per_us * 1e6);
-      t.add(ci.max_rate_per_us * 1e6);
-      t.add(ci.max_rate_per_us / cl.max_rate_per_us);
+      t.addText(name);
+      t.add(caps[0].max_rate_per_us * 1e6);
+      t.add(caps[1].max_rate_per_us * 1e6);
+      t.add(caps[1].max_rate_per_us / caps[0].max_rate_per_us);
     }
     std::printf("\n## Figure 9 rerun — capacity at 1 ms delay bound\n");
     t.print();
   }
 
   // Figure 12 — burstiness crossover, Locking-MRU vs IPS-Wired by batch.
-  {
-    TableWriter t({"batch", "Locking_1995", "IPS_1995", "Locking_2020", "IPS_2020"}, flags.csv,
-                  1);
-    const double batches[] = {1.0, 4.0, 8.0};
-    const std::uint64_t idx[] = {0, 2, 3};
-    for (int i = 0; i < 3; ++i) {
-      const auto streams =
-          makeBatchStreams(static_cast<std::size_t>(flags.streams), 0.012, batches[i], false);
-      t.beginRow();
-      t.add(batches[i]);
-      for (const ExecTimeModel* m : {&legacy, &modern}) {
-        SimConfig lc = flags.makeConfig();
-        lc.seed = derivePointSeed(flags.seed, idx[i]);
-        lc.policy.paradigm = Paradigm::kLocking;
-        lc.policy.locking = LockingPolicy::kMru;
-        t.add(runOnce(lc, *m, streams).mean_delay_us);
-        SimConfig ic = flags.makeConfig();
-        ic.seed = derivePointSeed(flags.seed, idx[i]);
-        ic.policy.paradigm = Paradigm::kIps;
-        ic.policy.ips = IpsPolicy::kWired;
-        t.add(runOnce(ic, *m, streams).mean_delay_us);
-      }
-    }
-    std::printf("\n## Figure 12 rerun — burstiness, mean delay (us)\n");
-    t.print();
-  }
-
+  delays("Figure 12 rerun — burstiness, mean delay (us)",
+         {"batch", "Locking_1995", "IPS_1995", "Locking_2020", "IPS_2020"}, llcFig12(params),
+         1.0);
   return 0;
 }

@@ -2,7 +2,6 @@
 // aggregate arrival rate for FCFS (no affinity), MRU, and Wired-Streams.
 // Expected shape (paper §5.1): MRU below FCFS everywhere; Wired-Streams
 // worse than MRU at low/moderate rate but best at high rate.
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -15,36 +14,21 @@ int main(int argc, char** argv) {
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
+  const FigureDef fig = fig06LockingDelay(flags.params());
   std::printf("# Figure 6 — Locking, %d procs, %d streams; delay in us, saturated marked *\n",
               flags.procs, flags.streams);
   TableWriter t({"rate_pkts_per_s", "FCFS", "MRU", "WiredStreams"}, flags.csv, 1);
-  const auto rates = rateSweep(flags.fast);
-  const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-    const double rate = rates[i];
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    std::array<RunMetrics, 3> row;
-    std::size_t k = 0;
-    for (LockingPolicy p :
-         {LockingPolicy::kFcfs, LockingPolicy::kMru, LockingPolicy::kWiredStreams}) {
-      SimConfig c = flags.makeConfigFor(rate);
-      c.seed = pointSeed(flags, i);
-      c.policy.paradigm = Paradigm::kLocking;
-      c.policy.locking = p;
-      row[k++] = runOnce(c, model, streams);
-    }
-    return row;
-  });
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rates[i]));
-    for (const RunMetrics& m : rows[i]) {
-      if (m.saturated) {
+    t.add(perSecond(fig.xs[i]));
+    for (const Cell& cell : rows[i]) {
+      if (cell.run.saturated) {
         char buf[32];
-        std::snprintf(buf, sizeof buf, "%.1f*", m.mean_delay_us);
+        std::snprintf(buf, sizeof buf, "%.1f*", cell.run.mean_delay_us);
         t.addText(buf);
       } else {
-        t.add(m.mean_delay_us);
+        t.add(cell.run.mean_delay_us);
       }
     }
   }

@@ -3,7 +3,6 @@
 // processor affinity) between plain MRU and Wired-Streams, at two stream
 // populations. Shows how much of the benefit comes from thread/processor
 // affinity (code + shared data) vs stream wiring (per-stream state).
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -17,30 +16,17 @@ int main(int argc, char** argv) {
   const int& streams_hi = cli.flag<int>("streams-hi", 64, "large stream population");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
   for (int nstreams : {flags.streams, streams_hi}) {
+    FigureParams params = flags.params();
+    params.streams = nstreams;
+    const FigureDef fig = fig07LockingMarginal(params);
     std::printf("# Figure 7 — Locking, %d procs, %d streams\n", flags.procs, nstreams);
     TableWriter t({"rate_pkts_per_s", "FCFS", "MRU", "StreamMRU", "WiredStreams"}, flags.csv, 1);
-    const auto rates = rateSweep(flags.fast);
-    const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-      const double rate = rates[i];
-      const auto streams = makePoissonStreams(static_cast<std::size_t>(nstreams), rate);
-      std::array<double, 4> row;
-      std::size_t k = 0;
-      for (LockingPolicy p : {LockingPolicy::kFcfs, LockingPolicy::kMru,
-                              LockingPolicy::kStreamMru, LockingPolicy::kWiredStreams}) {
-        SimConfig c = flags.makeConfigFor(rate);
-        c.seed = pointSeed(flags, i);
-        c.policy.paradigm = Paradigm::kLocking;
-        c.policy.locking = p;
-        row[k++] = runOnce(c, model, streams).mean_delay_us;
-      }
-      return row;
-    });
-    for (std::size_t i = 0; i < rates.size(); ++i) {
+    const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+    for (std::size_t i = 0; i < fig.xs.size(); ++i) {
       t.beginRow();
-      t.add(perSecond(rates[i]));
-      for (double delay : rows[i]) t.add(delay);
+      t.add(perSecond(fig.xs[i]));
+      addDelays(t, rows[i]);
     }
     t.print();
     std::printf("\n");

@@ -3,7 +3,6 @@
 // placement. Expected shape (paper §5): wiring stacks to processors wins —
 // except at low arrival rate, where MRU wins (concentrating the stacks keeps
 // the shared protocol code warm).
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -16,29 +15,15 @@ int main(int argc, char** argv) {
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
+  const FigureDef fig = fig08IpsDelay(flags.params());
   std::printf("# Figure 8 — IPS, %d procs (one stack per proc), %d streams\n", flags.procs,
               flags.streams);
   TableWriter t({"rate_pkts_per_s", "Random", "MRU", "Wired"}, flags.csv, 1);
-  const auto rates = rateSweepWithLowEnd(flags.fast);
-  const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-    const double rate = rates[i];
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    std::array<double, 3> row;
-    std::size_t k = 0;
-    for (IpsPolicy p : {IpsPolicy::kRandom, IpsPolicy::kMru, IpsPolicy::kWired}) {
-      SimConfig c = flags.makeConfigFor(rate);
-      c.seed = pointSeed(flags, i);
-      c.policy.paradigm = Paradigm::kIps;
-      c.policy.ips = p;
-      row[k++] = runOnce(c, model, streams).mean_delay_us;
-    }
-    return row;
-  });
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rates[i]));
-    for (double delay : rows[i]) t.add(delay);
+    t.add(perSecond(fig.xs[i]));
+    addDelays(t, rows[i]);
   }
   t.print();
   return 0;

@@ -3,7 +3,6 @@
 // capacity under a delay bound. Expected shape (abstract): IPS delivers much
 // lower message latency and significantly higher message throughput
 // capacity.
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -14,59 +13,34 @@ using namespace affinity::bench;
 int main(int argc, char** argv) {
   Cli cli("fig09_locking_vs_ips", "Locking-best vs IPS-best: delay and capacity");
   const auto flags = CommonFlags::declare(cli);
-  const double& bound = cli.flag<double>("delay-bound", 1'000.0, "capacity delay bound (us)");
+  const double& bound =
+      cli.flag<double>("delay-bound", kFig09DelayBoundUs, "capacity delay bound (us)");
   cli.parse(argc, argv);
 
   const auto model = ExecTimeModel::standard();
-  SimConfig locking = flags.makeConfig();
-  locking.policy.paradigm = Paradigm::kLocking;
-  locking.policy.locking = LockingPolicy::kMru;
-  SimConfig ips = flags.makeConfig();
-  ips.policy.paradigm = Paradigm::kIps;
-  ips.policy.ips = IpsPolicy::kWired;
-
+  const SweepRunner runner = flags.runner();
+  const FigureDef fig = fig09Delay(flags.params());
   std::printf("# Figure 9 — Locking/MRU vs IPS/Wired, %d procs, %d streams\n", flags.procs,
               flags.streams);
   TableWriter t({"rate_pkts_per_s", "Locking_MRU", "IPS_Wired"}, flags.csv, 1);
-  const auto rates = rateSweep(flags.fast);
-  const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-    const double rate = rates[i];
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    SimConfig lc = locking, ic = ips;
-    lc.seed = ic.seed = pointSeed(flags, i);
-    return std::array<double, 2>{runOnce(lc, model, streams).mean_delay_us,
-                                 runOnce(ic, model, streams).mean_delay_us};
-  });
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto rows = runTable(fig, model, runner);
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rates[i]));
-    t.add(rows[i][0]);
-    t.add(rows[i][1]);
+    t.add(perSecond(fig.xs[i]));
+    addDelays(t, rows[i]);
   }
   t.print();
 
-  // Capacity under the delay bound: the two bisections are independent, so
-  // they too go through the sweep pool (each search stays sequential).
-  const std::size_t ns = static_cast<std::size_t>(flags.streams);
-  const auto make = [ns](double rate) { return makePoissonStreams(ns, rate); };
-  SimConfig fast_locking = locking, fast_ips = ips;
-  fast_locking.measure_us = fast_ips.measure_us = flags.fast ? 200'000.0 : 800'000.0;
-  const std::array<const SimConfig*, 2> cap_cfgs{&fast_locking, &fast_ips};
-  const auto caps = sweep(flags, cap_cfgs.size(), [&](std::size_t i) {
-    return findMaxRate(*cap_cfgs[i], model, make, 0.002, 0.08, bound, 10);
-  });
-  const CapacityResult& cap_l = caps[0];
-  const CapacityResult& cap_i = caps[1];
+  const FigureDef capacity = fig09Capacity(flags.params(), bound);
+  const std::vector<Cell> caps = runTable(capacity, model, runner)[0];
   std::printf("\n# maximum throughput capacity (mean delay <= %.0f us)\n", bound);
   TableWriter cap({"paradigm", "capacity_pkts_per_s", "mean_delay_at_cap_us"}, flags.csv, 1);
-  cap.beginRow();
-  cap.addText("Locking/MRU");
-  cap.add(perSecond(cap_l.max_rate_per_us));
-  cap.add(cap_l.at_max.mean_delay_us);
-  cap.beginRow();
-  cap.addText("IPS/Wired");
-  cap.add(perSecond(cap_i.max_rate_per_us));
-  cap.add(cap_i.at_max.mean_delay_us);
+  for (std::size_t k = 0; k < caps.size(); ++k) {
+    cap.beginRow();
+    cap.addText(capacity.series[k].name);
+    cap.add(perSecond(caps[k].max_rate_per_us));
+    cap.add(caps[k].run.mean_delay_us);
+  }
   cap.print();
   return 0;
 }

@@ -4,8 +4,6 @@
 // data-touching overhead V. The paper: "the upper bound on the reduction
 // (as given by the V=0 curves) is around 40-50%"; checksumming the largest
 // FDDI packet costs V = 139 µs.
-#include <algorithm>
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -18,56 +16,19 @@ int main(int argc, char** argv) {
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
-  const double vs[] = {0.0, 35.0, 70.0, 139.0};
+  const FigureDef fig = fig10ReductionLocking(flags.params());
   std::printf(
       "# Figure 10 — Locking: affinity bundle (StreamMRU) vs FCFS, %d procs, %d streams\n"
       "# entries are %% reduction in mean delay; '>' = baseline saturated (lower bound);\n"
       "# 'sat' = both saturated\n",
       flags.procs, flags.streams);
   TableWriter t({"rate_pkts_per_s", "V=0", "V=35us", "V=70us", "V=139us"}, flags.csv, 1);
-  const auto rates = rateSweep(flags.fast);
-  struct Cell {
-    RunMetrics base, aff;
-  };
-  const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-    const double rate = rates[i];
-    std::array<Cell, 4> row;
-    for (std::size_t k = 0; k < 4; ++k) {
-      // Capacity shrinks as V grows; saturated points are marked on print.
-      const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-      SimConfig c = flags.makeConfigFor(rate);
-      c.seed = pointSeed(flags, i);
-      c.fixed_overhead_us = vs[k];
-      c.policy.paradigm = Paradigm::kLocking;
-      c.policy.locking = LockingPolicy::kFcfs;
-      row[k].base = runOnce(c, model, streams);
-      // The affinity system bundles MRU processor management with
-      // per-processor pools and stream affinity (paper §5.1, footnote 7).
-      c.policy.locking = LockingPolicy::kStreamMru;
-      row[k].aff = runOnce(c, model, streams);
-    }
-    return row;
-  });
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rates[i]));
-    for (const Cell& cell : rows[i]) {
-      const RunMetrics& base = cell.base;
-      const RunMetrics& aff = cell.aff;
-      if (aff.saturated) {
-        t.addText("sat");
-      } else if (base.saturated) {
-        // The baseline's backlog is still growing; the true steady-state
-        // reduction is at least this.
-        char buf[32];
-        std::snprintf(buf, sizeof buf, ">%.0f",
-                      std::min(99.0, reductionPercent(base.mean_delay_us, aff.mean_delay_us)));
-        t.addText(buf);
-      } else {
-        t.add(reductionPercent(base.mean_delay_us, aff.mean_delay_us));
-      }
-    }
+    t.add(perSecond(fig.xs[i]));
+    for (std::size_t k = 0; k < rows[i].size(); k += 2)
+      addReduction(t, rows[i][k].run, rows[i][k + 1].run);
   }
   t.print();
   return 0;

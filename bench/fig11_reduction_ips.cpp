@@ -1,8 +1,6 @@
 // Figure 11: percentage reduction in mean packet delay achieved by affinity
 // scheduling under IPS (Wired vs Random stack placement), vs arrival rate,
 // for several fixed per-packet overheads V — the IPS counterpart of Fig 10.
-#include <algorithm>
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -15,48 +13,16 @@ int main(int argc, char** argv) {
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
-  const double vs[] = {0.0, 35.0, 70.0, 139.0};
+  const FigureDef fig = fig11ReductionIps(flags.params());
   std::printf("# Figure 11 — IPS, Wired vs Random, %d procs, %d streams; entries are %% reduction\n",
               flags.procs, flags.streams);
   TableWriter t({"rate_pkts_per_s", "V=0", "V=35us", "V=70us", "V=139us"}, flags.csv, 1);
-  const auto rates = rateSweep(flags.fast);
-  struct Cell {
-    RunMetrics base, wired;
-  };
-  const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-    const double rate = rates[i];
-    std::array<Cell, 4> row;
-    for (std::size_t k = 0; k < 4; ++k) {
-      const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-      SimConfig c = flags.makeConfigFor(rate);
-      c.seed = pointSeed(flags, i);
-      c.fixed_overhead_us = vs[k];
-      c.policy.paradigm = Paradigm::kIps;
-      c.policy.ips = IpsPolicy::kRandom;
-      row[k].base = runOnce(c, model, streams);
-      c.policy.ips = IpsPolicy::kWired;
-      row[k].wired = runOnce(c, model, streams);
-    }
-    return row;
-  });
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rates[i]));
-    for (const Cell& cell : rows[i]) {
-      const RunMetrics& base = cell.base;
-      const RunMetrics& wired = cell.wired;
-      if (wired.saturated) {
-        t.addText("sat");
-      } else if (base.saturated) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, ">%.0f",
-                      std::min(99.0, reductionPercent(base.mean_delay_us, wired.mean_delay_us)));
-        t.addText(buf);
-      } else {
-        t.add(reductionPercent(base.mean_delay_us, wired.mean_delay_us));
-      }
-    }
+    t.add(perSecond(fig.xs[i]));
+    for (std::size_t k = 0; k < rows[i].size(); k += 2)
+      addReduction(t, rows[i][k].run, rows[i][k + 1].run);
   }
   t.print();
   return 0;

@@ -12,35 +12,19 @@ using namespace affinity::bench;
 int main(int argc, char** argv) {
   Cli cli("fig12_burstiness", "delay vs intra-stream batch size: Locking vs IPS");
   const auto flags = CommonFlags::declare(cli);
-  const double& rate = cli.flag<double>("rate", 0.012, "aggregate packet rate (pkts/us)");
+  const double& rate = cli.flag<double>("rate", kFig12RatePerUs, "aggregate packet rate (pkts/us)");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
-  SimConfig locking = flags.makeConfig();
-  locking.policy.paradigm = Paradigm::kLocking;
-  locking.policy.locking = LockingPolicy::kMru;
-  SimConfig ips = flags.makeConfig();
-  ips.policy.paradigm = Paradigm::kIps;
-  ips.policy.ips = IpsPolicy::kWired;
-
+  const FigureDef fig = fig12Burstiness(flags.params(), rate);
   std::printf("# Burstiness — fixed rate %.0f pkts/s, %d procs, %d streams; batch arrivals\n",
               perSecond(rate), flags.procs, flags.streams);
   TableWriter t({"batch_size", "Locking_MRU", "IPS_Wired", "IPS_over_Locking"}, flags.csv, 2);
-  const std::vector<double> batches = flags.fast ? std::vector<double>{1, 8, 24}
-                                                 : std::vector<double>{1, 2, 4, 8, 16, 24, 32};
-  struct Row {
-    double locking, ips;
-  };
-  const auto rows = sweep(flags, batches.size(), [&](std::size_t i) {
-    const auto streams = makeBatchStreams(static_cast<std::size_t>(flags.streams), rate,
-                                          batches[i], /*geometric=*/false);
-    SimConfig lc = locking, ic = ips;
-    lc.seed = ic.seed = pointSeed(flags, i);
-    return Row{runOnce(lc, model, streams).mean_delay_us,
-               runOnce(ic, model, streams).mean_delay_us};
-  });
-  for (std::size_t i = 0; i < batches.size(); ++i)
-    t.addRow({batches[i], rows[i].locking, rows[i].ips, rows[i].ips / rows[i].locking});
+  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
+    const double locking = rows[i][0].run.mean_delay_us;
+    const double ips = rows[i][1].run.mean_delay_us;
+    t.addRow({fig.xs[i], locking, ips, ips / locking});
+  }
   t.print();
   return 0;
 }

@@ -2,6 +2,7 @@
 // throughput of a SINGLE stream as processors are added. Expected shape:
 // Locking scales with N (any processor can take the next packet); IPS is
 // capped near one processor's service rate regardless of N.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -12,40 +13,20 @@ using namespace affinity::bench;
 int main(int argc, char** argv) {
   Cli cli("fig13_scalability", "single-stream max throughput vs processor count");
   const auto flags = CommonFlags::declare(cli);
-  const double& bound = cli.flag<double>("delay-bound", 2'000.0, "capacity delay bound (us)");
+  const double& bound =
+      cli.flag<double>("delay-bound", kFig13DelayBoundUs, "capacity delay bound (us)");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
-  const auto make = [](double rate) { return makePoissonStreams(1, rate); };
-
+  const FigureDef fig = fig13Scalability(flags.params(), bound);
   std::printf("# Intra-stream scalability — one stream, capacity under %.0f us mean delay\n",
               bound);
   TableWriter t({"procs", "Locking_MRU_pkts_per_s", "IPS_Wired_pkts_per_s", "speedup_ratio"},
                 flags.csv, 1);
-  const std::vector<int> procs = flags.fast ? std::vector<int>{1, 4, 8}
-                                            : std::vector<int>{1, 2, 4, 6, 8};
-  struct Row {
-    CapacityResult locking, ips;
-  };
-  const auto rows = sweep(flags, procs.size(), [&](std::size_t i) {
-    SimConfig locking = flags.makeConfig();
-    locking.seed = pointSeed(flags, i);
-    locking.num_procs = static_cast<unsigned>(procs[i]);
-    locking.policy.paradigm = Paradigm::kLocking;
-    locking.policy.locking = LockingPolicy::kMru;
-    locking.measure_us = flags.fast ? 200'000.0 : 600'000.0;
-    SimConfig ips = locking;
-    ips.policy.paradigm = Paradigm::kIps;
-    ips.policy.ips = IpsPolicy::kWired;
-    return Row{findMaxRate(locking, model, make, 0.001, 0.09, bound, 10),
-               findMaxRate(ips, model, make, 0.001, 0.09, bound, 10)};
-  });
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    const auto& cap_l = rows[i].locking;
-    const auto& cap_i = rows[i].ips;
-    t.addRow({static_cast<double>(procs[i]), perSecond(cap_l.max_rate_per_us),
-              perSecond(cap_i.max_rate_per_us),
-              cap_l.max_rate_per_us / std::max(cap_i.max_rate_per_us, 1e-9)});
+  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
+    const double locking = rows[i][0].max_rate_per_us;
+    const double ips = rows[i][1].max_rate_per_us;
+    t.addRow({fig.xs[i], perSecond(locking), perSecond(ips), locking / std::max(ips, 1e-9)});
   }
   t.print();
   return 0;

@@ -1,5 +1,6 @@
 #include "core/scenario.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "cachesim/rd_capture.hpp"
@@ -75,6 +76,8 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
       !readInt(cfg, "policy.steal_min_queue", 2, &out.steal_min_queue, error))
     return false;
   out.steal_penalty_us = cfg.getDouble("policy.steal_penalty_us", 5.0);
+  if (!(out.steal_penalty_us >= 0.0))
+    return fail(error, "policy.steal_penalty_us must be >= 0");
 
   // A key that only one mode reads is an error under any other mode: a
   // scenario that sets it would otherwise run with the key silently ignored.
@@ -189,35 +192,51 @@ bool parseCache(const ConfigFile& cfg, unsigned num_procs, ExecTimeModel& model,
   return true;
 }
 
+// Workload values are checked with negated comparisons, like the machine
+// and run values below: each bad value would abort the run when its
+// arrival process is built.
 bool parseWorkload(const ConfigFile& cfg, StreamSet& out, std::string* error) {
   const std::string type = cfg.getString("workload.type", "poisson");
   std::size_t streams = 0;
   if (!readInt(cfg, "workload.streams", 16, &streams, error, 0, kMaxStreams)) return false;
   const double rate = cfg.getDouble("workload.rate_pkts_per_s", 12'000.0) / 1e6;
-  if (type != "trace" && (rate <= 0.0 || streams == 0))
-    return fail(error, "workload rate and streams must be positive");
+  if (type != "trace" && streams == 0) return fail(error, "workload.streams must be > 0");
+  if (type != "trace" && !(rate > 0.0 && std::isfinite(rate)))
+    return fail(error, "workload.rate_pkts_per_s must be finite and > 0");
 
   if (type == "poisson") {
     out = makePoissonStreams(streams, rate);
   } else if (type == "batch") {
-    out = makeBatchStreams(streams, rate, cfg.getDouble("workload.batch", 8.0),
-                           cfg.getBool("workload.geometric", false));
+    const double batch = cfg.getDouble("workload.batch", 8.0);
+    if (!(batch >= 1.0)) return fail(error, "workload.batch must be >= 1");
+    out = makeBatchStreams(streams, rate, batch, cfg.getBool("workload.geometric", false));
   } else if (type == "train") {
-    out = makeTrainStreams(streams, rate, cfg.getDouble("workload.train_len", 8.0),
-                           cfg.getDouble("workload.intercar_gap_us", 30.0));
+    const double len = cfg.getDouble("workload.train_len", 8.0);
+    const double gap = cfg.getDouble("workload.intercar_gap_us", 30.0);
+    if (!(len >= 1.0)) return fail(error, "workload.train_len must be >= 1");
+    if (!(gap >= 0.0)) return fail(error, "workload.intercar_gap_us must be >= 0");
+    // A train's cars must fit in its share of the stream's arrival period.
+    const double per_stream = rate / static_cast<double>(streams);
+    if (!(len / per_stream - (len - 1.0) * gap > 0.0))
+      return fail(error, "workload.intercar_gap_us is too long for the per-stream rate");
+    out = makeTrainStreams(streams, rate, len, gap);
   } else if (type == "hotcold") {
     std::size_t hot = 0;
     if (!readInt(cfg, "workload.hot", 2, &hot, error, 1, static_cast<std::int64_t>(streams) - 1))
       return false;
-    out = makeHotColdStreams(hot, streams - hot, rate,
-                             cfg.getDouble("workload.hot_share", 0.5));
+    const double share = cfg.getDouble("workload.hot_share", 0.5);
+    if (!(share > 0.0 && share < 1.0)) return fail(error, "workload.hot_share must be in (0, 1)");
+    out = makeHotColdStreams(hot, streams - hot, rate, share);
   } else if (type == "zipf") {
     const double alpha = cfg.getDouble("workload.zipf_alpha", 1.0);
-    if (alpha < 0.0) return fail(error, "workload.zipf_alpha must be >= 0");
+    // The last stream's rate is rate / (streams^alpha * norm), norm <= streams.
+    if (!(alpha >= 0.0 && rate / std::pow(static_cast<double>(streams), alpha + 1.0) > 0.0))
+      return fail(error, "workload.zipf_alpha must be >= 0 and leave every stream a rate > 0");
     out = makeZipfStreams(streams, rate, alpha);
   } else if (type == "churn") {
     const double span = cfg.getDouble("workload.churn_span_us", 1'000'000.0);
-    if (span < 0.0) return fail(error, "workload.churn_span_us must be >= 0");
+    if (!(span >= 0.0 && std::isfinite(span)))
+      return fail(error, "workload.churn_span_us must be finite and >= 0");
     out = makeChurnStreams(streams, rate, span);
   } else if (type == "trace") {
     const std::string path = cfg.getString("workload.trace_file", "");
@@ -249,6 +268,11 @@ bool parseFlow(const ConfigFile& cfg, SimConfig& out, std::string* error) {
   if (!readInt(cfg, "flow.seed", static_cast<std::int64_t>(out.flow.seed), &out.flow.seed,
                error))
     return false;
+  const auto fraction = [](double v) { return v >= 0.0 && v <= 1.0; };
+  if (!fraction(out.flow.shed_high_water)) return fail(error, "flow.high_water must be in [0, 1]");
+  if (!fraction(out.flow.shed_low_water)) return fail(error, "flow.low_water must be in [0, 1]");
+  if (!fraction(out.flow.shed_admit_fraction))
+    return fail(error, "flow.admit_fraction must be in [0, 1]");
   if (out.flow.shed_high_water < out.flow.shed_low_water)
     return fail(error, "flow.high_water must be >= flow.low_water");
   return true;

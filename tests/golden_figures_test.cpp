@@ -2,14 +2,14 @@
 // regression that bends a paper conclusion fails a test instead of silently
 // shifting a table.
 //
-// Each test replicates its bench driver's exact configuration (16 streams,
-// derivePointSeed(seed=1, point index), the full-run auto windows), so the
-// pinned values are the same numbers the driver prints. The simulation is
-// deterministic; the per-figure tolerances (named in golden_tolerance.hpp)
-// only absorb benign floating-point reassociation from compiler/library
-// changes, while shape assertions (orderings, crossovers, scaling ratios)
-// encode the paper's conclusions themselves. docs/OBSERVABILITY.md explains
-// the policy.
+// Each pin is a cell of a figure definition in bench/figures.hpp — the one
+// its bench driver prints — looked up by (figure, x, series) at the drivers'
+// default flags, so the pinned values are the numbers the driver prints.
+// The simulation is deterministic; the per-figure tolerances (named in
+// golden_tolerance.hpp) only absorb benign floating-point reassociation from
+// compiler/library changes, while shape assertions (orderings, crossovers,
+// scaling ratios) encode the paper's conclusions themselves.
+// docs/OBSERVABILITY.md explains the policy.
 //
 // Paper: Salehi, Kurose, Towsley, "The Performance Impact of Scheduling for
 // Cache Affinity in Parallel Network Processing" (HPDC 1995): Figures 6-13.
@@ -17,52 +17,29 @@
 
 #include "golden_tolerance.hpp"
 
-#include "core/capacity.hpp"
+#include "bench/figures.hpp"
 #include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
 
 namespace affinity {
 namespace {
 
-// The bench drivers' full-run configuration (bench/common.hpp makeConfig
-// with default flags).
-SimConfig goldenConfig() {
-  SimConfig c = defaultSimConfig();
-  c.num_procs = 8;
-  c.lock_overhead_us = 20.0;
-  c.critical_section_us = 8.0;
-  c.seed = 1;
-  c.warmup_us = 200'000.0;
-  c.measure_us = 2'000'000.0;
-  return c;
-}
+using bench::FigureDef;
+using bench::rowOf;
+using bench::runCell;
 
-// makeConfigFor: measurement window sized for the point's rate (80k packets).
-SimConfig goldenConfigFor(double rate_per_us) {
-  SimConfig c = goldenConfig();
-  setAutoWindow(c, rate_per_us, 80'000);
-  return c;
-}
-
-// The sweep-point seed the drivers use (splitmix of --seed=1 and the index).
-std::uint64_t goldenSeed(std::uint64_t point_index) { return derivePointSeed(1, point_index); }
+const bench::FigureParams kDefaults;
 
 // Figure 6 (Locking): MRU beats Wired-Streams at 38k pkts/s, but Wired is
 // the only policy still stable at 42k — the crossover the paper puts just
 // above 40k pkts/s.
 TEST(GoldenFigures, Fig6MruWiredCrossoverAbove40k) {
   const auto model = ExecTimeModel::standard();
+  const FigureDef fig = bench::fig06LockingDelay(kDefaults);
 
-  // rate 0.038 pkts/us = sweep index 9 of rateSweep(false)
   {
-    const auto streams = makePoissonStreams(16, 0.038);
-    SimConfig c = goldenConfigFor(0.038);
-    c.seed = goldenSeed(9);
-    c.policy.paradigm = Paradigm::kLocking;
-    c.policy.locking = LockingPolicy::kMru;
-    const RunMetrics mru = runOnce(c, model, streams);
-    c.policy.locking = LockingPolicy::kWiredStreams;
-    const RunMetrics wired = runOnce(c, model, streams);
+    const std::size_t row = rowOf(fig, 0.038);
+    const RunMetrics mru = runCell(fig, model, row, "MRU").run;
+    const RunMetrics wired = runCell(fig, model, row, "WiredStreams").run;
 
     EXPECT_FALSE(mru.saturated);
     EXPECT_FALSE(wired.saturated);
@@ -71,16 +48,11 @@ TEST(GoldenFigures, Fig6MruWiredCrossoverAbove40k) {
     golden::expectPinned("fig6", wired.mean_delay_us, 482.8502, "Wired delay at 38k");
   }
 
-  // rate 0.042 pkts/us = sweep index 11: MRU has saturated, Wired has not.
+  // At 42k MRU has saturated, Wired has not.
   {
-    const auto streams = makePoissonStreams(16, 0.042);
-    SimConfig c = goldenConfigFor(0.042);
-    c.seed = goldenSeed(11);
-    c.policy.paradigm = Paradigm::kLocking;
-    c.policy.locking = LockingPolicy::kMru;
-    const RunMetrics mru = runOnce(c, model, streams);
-    c.policy.locking = LockingPolicy::kWiredStreams;
-    const RunMetrics wired = runOnce(c, model, streams);
+    const std::size_t row = rowOf(fig, 0.042);
+    const RunMetrics mru = runCell(fig, model, row, "MRU").run;
+    const RunMetrics wired = runCell(fig, model, row, "WiredStreams").run;
 
     EXPECT_TRUE(mru.saturated) << "MRU must be past saturation at 42k";
     EXPECT_FALSE(wired.saturated) << "Wired must still be stable at 42k";
@@ -94,43 +66,28 @@ TEST(GoldenFigures, Fig6MruWiredCrossoverAbove40k) {
 // both Random and Wired placement.
 TEST(GoldenFigures, Fig8LowRateMruWin) {
   const auto model = ExecTimeModel::standard();
-  const double rate = 0.001;  // index 2 of rateSweepWithLowEnd(false)
-  const auto streams = makePoissonStreams(16, rate);
+  const FigureDef fig = bench::fig08IpsDelay(kDefaults);
+  const std::size_t row = rowOf(fig, 0.001);
 
-  double delay[3] = {0, 0, 0};
-  const IpsPolicy policies[3] = {IpsPolicy::kRandom, IpsPolicy::kMru, IpsPolicy::kWired};
-  for (int i = 0; i < 3; ++i) {
-    SimConfig c = goldenConfigFor(rate);
-    c.seed = goldenSeed(2);
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = policies[i];
-    delay[i] = runOnce(c, model, streams).mean_delay_us;
-  }
-  golden::expectPinned("fig8", delay[0], 226.9830, "Random delay at 1k");
-  golden::expectPinned("fig8", delay[1], 197.1524, "MRU delay at 1k");
-  golden::expectPinned("fig8", delay[2], 200.1067, "Wired delay at 1k");
-  EXPECT_LT(delay[1], delay[2]) << "MRU must beat Wired at light load";
-  EXPECT_LT(delay[2], delay[0]) << "Wired must beat Random at light load";
+  const double random = runCell(fig, model, row, "Random").run.mean_delay_us;
+  const double mru = runCell(fig, model, row, "MRU").run.mean_delay_us;
+  const double wired = runCell(fig, model, row, "Wired").run.mean_delay_us;
+  golden::expectPinned("fig8", random, 226.9830, "Random delay at 1k");
+  golden::expectPinned("fig8", mru, 197.1524, "MRU delay at 1k");
+  golden::expectPinned("fig8", wired, 200.1067, "Wired delay at 1k");
+  EXPECT_LT(mru, wired) << "MRU must beat Wired at light load";
+  EXPECT_LT(wired, random) << "Wired must beat Random at light load";
 }
 
 // Figure 9: maximum throughput capacity under a 1 ms delay bound — the
 // paper's headline Locking 40.6k vs IPS 54.9k pkts/s (EXPERIMENTS.md).
 TEST(GoldenFigures, Fig9CapacityLockingVsIps) {
   const auto model = ExecTimeModel::standard();
-  const auto make = [](double rate) { return makePoissonStreams(16, rate); };
+  const FigureDef fig = bench::fig09Capacity(kDefaults);
+  const std::size_t row = rowOf(fig, bench::kFig09DelayBoundUs);
 
-  SimConfig locking = goldenConfig();
-  locking.policy.paradigm = Paradigm::kLocking;
-  locking.policy.locking = LockingPolicy::kMru;
-  locking.measure_us = 800'000.0;
-  SimConfig ips = locking;
-  ips.policy.paradigm = Paradigm::kIps;
-  ips.policy.ips = IpsPolicy::kWired;
-
-  const CapacityResult cl = findMaxRate(locking, model, make, 0.002, 0.08, 1000.0, 10);
-  const CapacityResult ci = findMaxRate(ips, model, make, 0.002, 0.08, 1000.0, 10);
-  const double locking_pkts_s = cl.max_rate_per_us * 1e6;
-  const double ips_pkts_s = ci.max_rate_per_us * 1e6;
+  const double locking_pkts_s = runCell(fig, model, row, "Locking/MRU").max_rate_per_us * 1e6;
+  const double ips_pkts_s = runCell(fig, model, row, "IPS/Wired").max_rate_per_us * 1e6;
 
   // Pin against EXPERIMENTS.md's reported 40.6k / 54.9k.
   golden::expectPinned("fig9-capacity", locking_pkts_s, 40'600.0, "Locking capacity");
@@ -143,16 +100,11 @@ TEST(GoldenFigures, Fig9CapacityLockingVsIps) {
 // pkts/s.
 TEST(GoldenFigures, Fig10StreamMruReductionAtLeast40Pct) {
   const auto model = ExecTimeModel::standard();
-  const double rate = 0.040;  // index 10 of rateSweep(false)
-  const auto streams = makePoissonStreams(16, rate);
+  const FigureDef fig = bench::fig10ReductionLocking(kDefaults);
+  const std::size_t row = rowOf(fig, 0.040);
 
-  SimConfig c = goldenConfigFor(rate);
-  c.seed = goldenSeed(10);
-  c.policy.paradigm = Paradigm::kLocking;
-  c.policy.locking = LockingPolicy::kFcfs;
-  const RunMetrics base = runOnce(c, model, streams);
-  c.policy.locking = LockingPolicy::kStreamMru;
-  const RunMetrics aff = runOnce(c, model, streams);
+  const RunMetrics base = runCell(fig, model, row, "FCFS V=0").run;
+  const RunMetrics aff = runCell(fig, model, row, "StreamMRU V=0").run;
 
   EXPECT_FALSE(base.saturated);
   EXPECT_FALSE(aff.saturated);
@@ -167,27 +119,19 @@ TEST(GoldenFigures, Fig10StreamMruReductionAtLeast40Pct) {
 // badly (>= 2x) by batch 8 — bursts pile onto one wired processor.
 TEST(GoldenFigures, Fig12BurstinessCrossover) {
   const auto model = ExecTimeModel::standard();
-
-  const auto run_pair = [&](double batch, std::uint64_t idx) {
-    const auto streams = makeBatchStreams(16, 0.012, batch, false);
-    SimConfig lc = goldenConfig();
-    lc.policy.paradigm = Paradigm::kLocking;
-    lc.policy.locking = LockingPolicy::kMru;
-    SimConfig ic = goldenConfig();
-    ic.policy.paradigm = Paradigm::kIps;
-    ic.policy.ips = IpsPolicy::kWired;
-    lc.seed = ic.seed = goldenSeed(idx);
-    const double l = runOnce(lc, model, streams).mean_delay_us;
-    const double i = runOnce(ic, model, streams).mean_delay_us;
-    return std::pair{l, i};
+  const FigureDef fig = bench::fig12Burstiness(kDefaults);
+  const auto delay = [&](double batch, const char* series) {
+    return runCell(fig, model, rowOf(fig, batch), series).run.mean_delay_us;
   };
 
-  const auto [l1, i1] = run_pair(1.0, 0);  // batch 1 = sweep index 0
+  const double l1 = delay(1.0, "Locking_MRU");
+  const double i1 = delay(1.0, "IPS_Wired");
   golden::expectPinned("fig12", l1, 215.70, "Locking delay at batch 1");
   golden::expectPinned("fig12", i1, 186.79, "IPS delay at batch 1");
   EXPECT_LT(i1, l1) << "IPS must win at batch size 1";
 
-  const auto [l8, i8] = run_pair(8.0, 3);  // batch 8 = sweep index 3
+  const double l8 = delay(8.0, "Locking_MRU");
+  const double i8 = delay(8.0, "IPS_Wired");
   golden::expectPinned("fig12", l8, 295.62, "Locking delay at batch 8");
   golden::expectPinned("fig12", i8, 808.11, "IPS delay at batch 8");
   EXPECT_GT(i8 / l8, 2.0) << "IPS must be >= 2x worse at batch size 8";
@@ -224,29 +168,19 @@ TEST(GoldenFigures, Fig12TfnMatchesFlowDirectorDelayWithFewerMigrations) {
 // machine size, while Locking scales with processors.
 TEST(GoldenFigures, Fig13IpsSingleStreamPinned) {
   const auto model = ExecTimeModel::standard();
-  const auto make = [](double rate) { return makePoissonStreams(1, rate); };
-
-  const auto capacities = [&](unsigned procs, std::uint64_t idx) {
-    SimConfig locking = goldenConfig();
-    locking.seed = goldenSeed(idx);
-    locking.num_procs = procs;
-    locking.policy.paradigm = Paradigm::kLocking;
-    locking.policy.locking = LockingPolicy::kMru;
-    locking.measure_us = 600'000.0;
-    SimConfig ips = locking;
-    ips.policy.paradigm = Paradigm::kIps;
-    ips.policy.ips = IpsPolicy::kWired;
-    const CapacityResult cl = findMaxRate(locking, model, make, 0.001, 0.09, 2000.0, 10);
-    const CapacityResult ci = findMaxRate(ips, model, make, 0.001, 0.09, 2000.0, 10);
-    return std::pair{cl.max_rate_per_us * 1e6, ci.max_rate_per_us * 1e6};
+  const FigureDef fig = bench::fig13Scalability(kDefaults);
+  const auto capacity = [&](double procs, const char* series) {
+    return runCell(fig, model, rowOf(fig, procs), series).max_rate_per_us * 1e6;
   };
 
-  const auto [l1, i1] = capacities(1, 0);  // procs=1 = sweep index 0
+  const double l1 = capacity(1, "Locking_MRU");
+  const double i1 = capacity(1, "IPS_Wired");
   golden::expectPinned("fig13-capacity", l1, 6127.9, "Locking capacity at 1 proc");
   golden::expectPinned("fig13-capacity", i1, 7257.8, "IPS capacity at 1 proc");
 
-  const auto [l8, i8] = capacities(8, 2);  // procs=8 = sweep index 2
-  golden::expectPinned("fig13-capacity", l8, 51410.2, "Locking capacity at 8 procs");
+  const double l8 = capacity(8, "Locking_MRU");
+  const double i8 = capacity(8, "IPS_Wired");
+  golden::expectPinned("fig13-capacity", l8, 50454.1, "Locking capacity at 8 procs");
   golden::expectPinned("fig13-capacity", i8, 7170.9, "IPS capacity at 8 procs");
 
   EXPECT_GT(l8 / l1, 4.0) << "Locking must scale with processors";

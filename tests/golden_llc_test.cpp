@@ -2,8 +2,9 @@
 // 6/8/9/12 rerun on a shared-LLC machine (MachineParams::modern2020) under
 // the reuse-distance cache model, pinned so EXPERIMENTS.md's "shared-LLC
 // rerun" verdicts (which 1995 conclusions survive, which flip) are enforced
-// by a test instead of drifting silently. bench/ext_llc_rerun prints the
-// full tables these points come from.
+// by a test instead of drifting silently. Each pin is a cell of the llcFig*
+// definitions in bench/figures.hpp, at the drivers' default flags: the
+// tables bench/ext_llc_rerun prints.
 //
 // The headline FLIP pinned here: at 42k pkts/s the 1995 machine has
 // Locking-MRU saturated while Wired-Streams still runs (the paper's Figure
@@ -17,70 +18,32 @@
 // downsampled in quick).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "golden_tolerance.hpp"
 #include "rd_differential.hpp"
 
-#include "cachesim/rd_capture.hpp"
-#include "core/capacity.hpp"
-#include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
+#include "bench/figures.hpp"
 
 namespace affinity {
 namespace {
 
-// The modern-topology reuse model every test here shares: profiles captured
-// once (cachedDefaultRdModel memoizes) with all 8 processors co-running on
-// the LLC, and the 1995 memory transient split into private-L2 + shared-LLC
-// parts (tCold preserved at 284.3 us).
-const ExecTimeModel& modernModel() {
-  static const ExecTimeModel* model = [] {
-    RdCaptureParams capture;
-    capture.co_runners = 8;
-    return new ExecTimeModel(cachedDefaultRdModel(MachineParams::modern2020(), capture),
-                             ReloadParams::measuredUdpReceive().splitForSharedLlc(),
-                             FootprintShares{});
-  }();
-  return *model;
-}
+using bench::FigureDef;
+using bench::rowOf;
+using bench::runCell;
 
-SimConfig goldenConfig() {
-  SimConfig c = defaultSimConfig();
-  c.num_procs = 8;
-  c.lock_overhead_us = 20.0;
-  c.critical_section_us = 8.0;
-  c.seed = 1;
-  c.warmup_us = 200'000.0;
-  c.measure_us = 2'000'000.0;
-  return c;
-}
-
-SimConfig goldenConfigFor(double rate_per_us) {
-  SimConfig c = goldenConfig();
-  setAutoWindow(c, rate_per_us, 80'000);
-  return c;
-}
-
-std::uint64_t goldenSeed(std::uint64_t point_index) { return derivePointSeed(1, point_index); }
-
-RunMetrics runLocking(const ExecTimeModel& model, LockingPolicy policy, double rate,
-                      std::uint64_t idx) {
-  const auto streams = makePoissonStreams(16, rate);
-  SimConfig c = goldenConfigFor(rate);
-  c.seed = goldenSeed(idx);
-  c.policy.paradigm = Paradigm::kLocking;
-  c.policy.locking = policy;
-  return runOnce(c, model, streams);
-}
+const bench::FigureParams kDefaults;
 
 // Figure 6 rerun. Below the 1995 crossover the ordering survives (MRU
 // wins); at 42k the 1995 verdict FLIPS: MRU is no longer saturated and
 // beats Wired outright.
 TEST(GoldenLlc, Fig6MruSurvives42kFlippingThe1995Crossover) {
-  const ExecTimeModel& model = modernModel();
+  const ExecTimeModel model = bench::modern2020Model(kDefaults.procs);
+  const FigureDef fig = bench::llcFig6(kDefaults);
 
   {
-    const RunMetrics mru = runLocking(model, LockingPolicy::kMru, 0.038, 9);
-    const RunMetrics wired = runLocking(model, LockingPolicy::kWiredStreams, 0.038, 9);
+    const RunMetrics mru = runCell(fig, model, rowOf(fig, 0.038), "MRU").run;
+    const RunMetrics wired = runCell(fig, model, rowOf(fig, 0.038), "Wired").run;
     EXPECT_FALSE(mru.saturated);
     EXPECT_FALSE(wired.saturated);
     EXPECT_LT(mru.mean_delay_us, wired.mean_delay_us) << "MRU must still win below 40k";
@@ -89,8 +52,8 @@ TEST(GoldenLlc, Fig6MruSurvives42kFlippingThe1995Crossover) {
   }
 
   {
-    const RunMetrics mru = runLocking(model, LockingPolicy::kMru, 0.042, 11);
-    const RunMetrics wired = runLocking(model, LockingPolicy::kWiredStreams, 0.042, 11);
+    const RunMetrics mru = runCell(fig, model, rowOf(fig, 0.042), "MRU").run;
+    const RunMetrics wired = runCell(fig, model, rowOf(fig, 0.042), "Wired").run;
     // THE FLIP: the 1995 golden (golden_figures_test) asserts MRU saturated
     // here and Wired the only stable policy. With the shared LLC keeping
     // migrated stream state warm, MRU is stable AND faster.
@@ -107,24 +70,17 @@ TEST(GoldenLlc, Fig6MruSurvives42kFlippingThe1995Crossover) {
 // Wired < Random) but the concentration win narrows — the shared LLC keeps
 // protocol code warm on every processor, which was MRU's whole advantage.
 TEST(GoldenLlc, Fig8MruWinSurvivesButNarrows) {
-  const double rate = 0.001;
-  const auto streams = makePoissonStreams(16, rate);
-
+  const FigureDef fig = bench::llcFig8(kDefaults);
+  const std::size_t row = rowOf(fig, 0.001);
   const auto delays = [&](const ExecTimeModel& model) {
-    double d[3];
-    const IpsPolicy policies[3] = {IpsPolicy::kRandom, IpsPolicy::kMru, IpsPolicy::kWired};
-    for (int i = 0; i < 3; ++i) {
-      SimConfig c = goldenConfigFor(rate);
-      c.seed = goldenSeed(2);
-      c.policy.paradigm = Paradigm::kIps;
-      c.policy.ips = policies[i];
-      d[i] = runOnce(c, model, streams).mean_delay_us;
-    }
-    return std::array<double, 3>{d[0], d[1], d[2]};
+    std::array<double, 3> d{};
+    const char* series[3] = {"Random", "MRU", "Wired"};
+    for (int i = 0; i < 3; ++i) d[i] = runCell(fig, model, row, series[i]).run.mean_delay_us;
+    return d;
   };
 
   const auto legacy = delays(ExecTimeModel::standard());
-  const auto modern = delays(modernModel());
+  const auto modern = delays(bench::modern2020Model(kDefaults.procs));
 
   // Ordering survives on the modern machine.
   EXPECT_LT(modern[1], modern[2]) << "MRU must still beat Wired at light load";
@@ -135,7 +91,7 @@ TEST(GoldenLlc, Fig8MruWinSurvivesButNarrows) {
   EXPECT_LT(modern_win, 0.5 * legacy_win)
       << "shared LLC must erode most of the code-warmth concentration win";
   golden::expectPinned("llc-fig8", modern[0], 227.1, "Random delay at 1k");
-  golden::expectPinned("llc-fig8", modern[1], 220.2, "MRU delay at 1k");
+  golden::expectPinned("llc-fig8", modern[1], 221.4206, "MRU delay at 1k");
   golden::expectPinned("llc-fig8", modern[2], 224.7, "Wired delay at 1k");
 }
 
@@ -143,27 +99,18 @@ TEST(GoldenLlc, Fig8MruWinSurvivesButNarrows) {
 // shared LLC lifts Locking's capacity (its migrations got cheaper) while
 // leaving wired IPS — which never migrates — essentially unchanged.
 TEST(GoldenLlc, Fig9IpsCapacityAdvantageSurvives) {
-  const auto make = [](double rate) { return makePoissonStreams(16, rate); };
-
-  SimConfig locking = goldenConfig();
-  locking.policy.paradigm = Paradigm::kLocking;
-  locking.policy.locking = LockingPolicy::kMru;
-  locking.measure_us = 800'000.0;
-  SimConfig ips = locking;
-  ips.policy.paradigm = Paradigm::kIps;
-  ips.policy.ips = IpsPolicy::kWired;
+  const ExecTimeModel modern = bench::modern2020Model(kDefaults.procs);
+  const FigureDef fig = bench::llcFig9(kDefaults);
+  const std::size_t row = rowOf(fig, bench::kFig09DelayBoundUs);
 
   const double l95 =
-      findMaxRate(locking, ExecTimeModel::standard(), make, 0.002, 0.08, 1000.0, 10)
-          .max_rate_per_us * 1e6;
-  const double l20 =
-      findMaxRate(locking, modernModel(), make, 0.002, 0.08, 1000.0, 10).max_rate_per_us * 1e6;
-  const double i20 =
-      findMaxRate(ips, modernModel(), make, 0.002, 0.08, 1000.0, 10).max_rate_per_us * 1e6;
+      runCell(fig, ExecTimeModel::standard(), row, "Locking/MRU").max_rate_per_us * 1e6;
+  const double l20 = runCell(fig, modern, row, "Locking/MRU").max_rate_per_us * 1e6;
+  const double i20 = runCell(fig, modern, row, "IPS/Wired").max_rate_per_us * 1e6;
 
   EXPECT_GT(i20 / l20, 1.2) << "IPS must still out-scale Locking on the shared-LLC machine";
   EXPECT_GT(l20, l95) << "shared LLC must lift Locking capacity";
-  golden::expectPinned("llc-fig9-capacity", l20, 42'371.1, "Locking capacity");
+  golden::expectPinned("llc-fig9-capacity", l20, 42'599.6094, "Locking capacity");
   golden::expectPinned("llc-fig9-capacity", i20, 54'787.1, "IPS capacity");
 }
 
@@ -171,30 +118,22 @@ TEST(GoldenLlc, Fig9IpsCapacityAdvantageSurvives) {
 // — it is a queueing (load-imbalance) phenomenon, not a cache one, so the
 // LLC cannot rescue wired IPS from burst pile-up.
 TEST(GoldenLlc, Fig12BurstinessCrossoverSurvives) {
-  const ExecTimeModel& model = modernModel();
-
-  const auto run_pair = [&](double batch, std::uint64_t idx) {
-    const auto streams = makeBatchStreams(16, 0.012, batch, false);
-    SimConfig lc = goldenConfig();
-    lc.policy.paradigm = Paradigm::kLocking;
-    lc.policy.locking = LockingPolicy::kMru;
-    SimConfig ic = goldenConfig();
-    ic.policy.paradigm = Paradigm::kIps;
-    ic.policy.ips = IpsPolicy::kWired;
-    lc.seed = ic.seed = goldenSeed(idx);
-    const double l = runOnce(lc, model, streams).mean_delay_us;
-    const double i = runOnce(ic, model, streams).mean_delay_us;
-    return std::pair{l, i};
+  const ExecTimeModel model = bench::modern2020Model(kDefaults.procs);
+  const FigureDef fig = bench::llcFig12(kDefaults);
+  const auto delay = [&](double batch, const char* series) {
+    return runCell(fig, model, rowOf(fig, batch), series).run.mean_delay_us;
   };
 
-  const auto [l1, i1] = run_pair(1.0, 0);
+  const double l1 = delay(1.0, "Locking_MRU");
+  const double i1 = delay(1.0, "IPS_Wired");
   EXPECT_LT(i1, l1) << "IPS must still win at batch size 1";
   golden::expectPinned("llc-fig12", l1, 213.6, "Locking delay at batch 1");
   golden::expectPinned("llc-fig12", i1, 209.4, "IPS delay at batch 1");
 
-  const auto [l8, i8] = run_pair(8.0, 3);
+  const double l8 = delay(8.0, "Locking_MRU");
+  const double i8 = delay(8.0, "IPS_Wired");
   EXPECT_GT(i8 / l8, 2.0) << "IPS must still be >= 2x worse at batch size 8";
-  golden::expectPinned("llc-fig12", l8, 296.5, "Locking delay at batch 8");
+  golden::expectPinned("llc-fig12", l8, 289.0587, "Locking delay at batch 8");
   golden::expectPinned("llc-fig12", i8, 831.5, "IPS delay at batch 8");
 }
 

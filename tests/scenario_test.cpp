@@ -227,6 +227,48 @@ TEST(ScenarioTest, RejectsBadRunAndMachineValues) {
                   .has_value());
 }
 
+TEST(ScenarioTest, RejectsWorkloadPolicyAndFlowValuesThatAbortARun) {
+  // Each workload value would abort the run when its arrival processes are
+  // built (a zero-rate stream, a batch or train shorter than one packet, a
+  // train whose cars outlast its arrival period); a negative steal penalty
+  // schedules a completion before "now"; a flow fraction outside [0, 1] is
+  // a meaningless shedding rule. NaN fails too.
+  expectRejectedNamingKey({
+      {"[workload]\nrate_pkts_per_s = nan\n", "workload.rate_pkts_per_s"},
+      {"[workload]\nrate_pkts_per_s = inf\n", "workload.rate_pkts_per_s"},
+      {"[workload]\nrate_pkts_per_s = 0\n", "workload.rate_pkts_per_s"},
+      {"[workload]\nstreams = 0\n", "workload.streams"},
+      {"[workload]\ntype = batch\nbatch = 0\n", "workload.batch"},
+      {"[workload]\ntype = batch\nbatch = nan\n", "workload.batch"},
+      {"[workload]\ntype = train\ntrain_len = 0\n", "workload.train_len"},
+      {"[workload]\ntype = train\nintercar_gap_us = -1\n", "workload.intercar_gap_us"},
+      {"[workload]\ntype = train\nintercar_gap_us = 2000\n", "workload.intercar_gap_us"},
+      {"[workload]\ntype = hotcold\nhot_share = 1.5\n", "workload.hot_share"},
+      {"[workload]\ntype = hotcold\nhot_share = 0\n", "workload.hot_share"},
+      {"[workload]\ntype = zipf\nzipf_alpha = nan\n", "workload.zipf_alpha"},
+      {"[workload]\ntype = zipf\nzipf_alpha = 5000\n", "workload.zipf_alpha"},
+      {"[workload]\ntype = churn\nchurn_span_us = nan\n", "workload.churn_span_us"},
+      {"[workload]\ntype = churn\nchurn_span_us = inf\n", "workload.churn_span_us"},
+      {"[policy]\nlocking = steal-affinity\nsteal_penalty_us = -1000\n",
+       "policy.steal_penalty_us"},
+      {"[policy]\nlocking = steal-affinity\nsteal_penalty_us = nan\n",
+       "policy.steal_penalty_us"},
+      {"[flow]\nhigh_water = 1.5\n", "flow.high_water"},
+      {"[flow]\nlow_water = -0.1\n", "flow.low_water"},
+      {"[flow]\nadmit_fraction = 2\n", "flow.admit_fraction"},
+      {"[flow]\nadmit_fraction = nan\n", "flow.admit_fraction"},
+  });
+  // The boundaries are accepted.
+  EXPECT_TRUE(scenarioFrom("[workload]\ntype = batch\nbatch = 1\n").has_value());
+  EXPECT_TRUE(
+      scenarioFrom("[workload]\ntype = train\ntrain_len = 1\nintercar_gap_us = 0\n").has_value());
+  EXPECT_TRUE(scenarioFrom("[workload]\ntype = zipf\nzipf_alpha = 0\n").has_value());
+  EXPECT_TRUE(scenarioFrom("[workload]\ntype = churn\nchurn_span_us = 0\n").has_value());
+  EXPECT_TRUE(scenarioFrom("[policy]\nlocking = steal-affinity\nsteal_penalty_us = 0\n"
+                           "[flow]\nhigh_water = 1\nlow_water = 0\nadmit_fraction = 1\n")
+                  .has_value());
+}
+
 TEST(ScenarioTest, RejectsKeysTheSelectedModeIgnores) {
   // A key read by one mode only must fail, with its name, under any other
   // mode instead of running with the key silently ignored.
