@@ -1,10 +1,11 @@
 // common.hpp — shared scaffolding for the experiment drivers.
 //
-// Every bench binary reproduces one table or figure of the paper: it sweeps
-// the figure's x-axis, runs the simulation for each series, and prints the
-// series as an aligned table (or CSV with --csv). EXPERIMENTS.md records the
-// expected shapes next to the paper's. The figures with golden pins take
-// their axes, seeds, configs and series from figures.hpp.
+// Every bench binary reproduces one table or figure of the paper, or one
+// extension of it, and prints it as an aligned table (or CSV with --csv).
+// EXPERIMENTS.md records the expected shapes next to the paper's. A
+// simulation sweep is a FigureDef (figures.hpp) run through runTable across
+// --jobs worker threads: the pinned figures' definitions live in
+// figures.cpp, every other driver builds its own from the same builders.
 #pragma once
 
 #include <algorithm>
@@ -123,11 +124,6 @@ struct CommonFlags {
             observability().metrics()};
   }
 
-  [[nodiscard]] SimConfig makeConfig() const { return params().makeConfig(); }
-  [[nodiscard]] SimConfig makeConfigFor(double rate_per_us) const {
-    return params().makeConfigFor(rate_per_us);
-  }
-
   /// A `--jobs`-wide sweep pool, instrumented with the observability sinks.
   [[nodiscard]] SweepRunner runner() const {
     SweepRunner r(static_cast<unsigned>(jobs));
@@ -143,6 +139,16 @@ inline double perSecond(double per_us) { return per_us * 1e6; }
 /// Appends each cell's mean delay to the current row.
 inline void addDelays(TableWriter& t, const std::vector<Cell>& cells) {
   for (const Cell& c : cells) t.add(c.run.mean_delay_us);
+}
+
+/// Appends one row per x of `def`: x * x_scale, then each cell's mean delay.
+inline void addDelayRows(TableWriter& t, const FigureDef& def,
+                         const std::vector<std::vector<Cell>>& rows, double x_scale = 1.0) {
+  for (std::size_t i = 0; i < def.xs.size(); ++i) {
+    t.beginRow();
+    t.add(def.xs[i] * x_scale);
+    addDelays(t, rows[i]);
+  }
 }
 
 /// Appends the % delay reduction of `aff` over `base` (Figs 10 and 11):
@@ -171,23 +177,6 @@ inline void addReduction(TableWriter& t, const RunMetrics& base, const RunMetric
   std::printf("PERF SMOKE %s: %s (%s)\n", pass ? "PASS" : "FAIL", bench, detail.c_str());
   if (!pass) std::fprintf(stderr, "PERF SMOKE FAIL: %s (%s)\n", bench, detail.c_str());
   return pass ? 0 : 1;
-}
-
-/// Runs `fn(i)` for every sweep index across `--jobs` worker threads and
-/// returns the results in index order (output is byte-identical for any job
-/// count as long as `fn` is a pure function of its index — derive per-point
-/// seeds from the index, don't share mutable state). Drivers compute all
-/// rows through this, then print sequentially.
-template <typename Fn>
-auto sweep(const CommonFlags& flags, std::size_t n, Fn&& fn) {
-  return flags.runner().map(n, std::forward<Fn>(fn));
-}
-
-/// The derived seed for sweep point `i` (splitmix of --seed and i): every
-/// point gets an independent random stream, and results don't depend on
-/// which worker runs the point.
-inline std::uint64_t pointSeed(const CommonFlags& flags, std::size_t i) {
-  return derivePointSeed(flags.seed, static_cast<std::uint64_t>(i));
 }
 
 }  // namespace affinity::bench

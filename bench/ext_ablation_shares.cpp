@@ -4,6 +4,7 @@
 // (MRU vs Wired) appear as code becomes the dominant L2 component, and the
 // high-rate stream-affinity benefit under Locking shrink as the stream
 // share is diluted.
+#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -32,6 +33,31 @@ int main(int argc, char** argv) {
   const double& high_rate = cli.flag<double>("high-rate", 0.035, "high-rate probe (pkts/us)");
   cli.parse(argc, argv);
 
+  // One row per probe (x is its index): IPS at the low rate, Locking at the
+  // high rate. Each series sets both paradigms' placement; a row runs the
+  // one its paradigm reads.
+  const std::array<double, 2> rates{low_rate, high_rate};
+  FigureDef def;
+  def.xs = {0, 1};
+  def.base_seed = true;
+  def.config = [p = flags.params(), rates](double probe) {
+    SimConfig c = p.makeConfigFor(rates[static_cast<std::size_t>(probe)]);
+    c.policy.paradigm = probe == 0 ? Paradigm::kIps : Paradigm::kLocking;
+    return c;
+  };
+  def.workload = [f = poisson(flags.streams), rates](double probe) {
+    return f(rates[static_cast<std::size_t>(probe)]);
+  };
+  def.series = {{"Wired/FCFS",
+                 [](SimConfig& c) {
+                   c.policy.ips = IpsPolicy::kWired;
+                   c.policy.locking = LockingPolicy::kFcfs;
+                 }},
+                {"MRU/StreamMRU", [](SimConfig& c) {
+                   c.policy.ips = IpsPolicy::kMru;
+                   c.policy.locking = LockingPolicy::kStreamMru;
+                 }}};
+
   std::printf(
       "# Ablation — L2 transient share of the shared code; L1 shares fixed.\n"
       "# ips_mru_adv: IPS Wired-vs-MRU delay gap at %.0f pkts/s (positive = MRU wins,\n"
@@ -39,32 +65,14 @@ int main(int argc, char** argv) {
       "# lock_aff_red: %% delay reduction of StreamMRU vs FCFS at %.0f pkts/s.\n",
       perSecond(low_rate), perSecond(high_rate));
   TableWriter t({"l2_code_share", "ips_mru_adv_us", "lock_aff_red_pct"}, flags.csv, 2);
-  const std::vector<double> shares =
-      flags.fast ? std::vector<double>{0.2, 0.65} : std::vector<double>{0.1, 0.3, 0.5, 0.65, 0.8};
-  for (double share : shares) {
-    const ExecTimeModel model = modelWithL2CodeShare(share);
-    t.beginRow();
-    t.add(share);
-    {
-      SimConfig c = flags.makeConfigFor(low_rate);
-      c.policy.paradigm = Paradigm::kIps;
-      const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), low_rate);
-      c.policy.ips = IpsPolicy::kWired;
-      const RunMetrics wired = runOnce(c, model, streams);
-      c.policy.ips = IpsPolicy::kMru;
-      const RunMetrics mru = runOnce(c, model, streams);
-      t.add(wired.mean_delay_us - mru.mean_delay_us);
-    }
-    {
-      SimConfig c = flags.makeConfigFor(high_rate);
-      c.policy.paradigm = Paradigm::kLocking;
-      const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), high_rate);
-      c.policy.locking = LockingPolicy::kFcfs;
-      const RunMetrics fcfs = runOnce(c, model, streams);
-      c.policy.locking = LockingPolicy::kStreamMru;
-      const RunMetrics aff = runOnce(c, model, streams);
-      t.add(reductionPercent(fcfs.mean_delay_us, aff.mean_delay_us));
-    }
+  const SweepRunner runner = flags.runner();
+  for (double share : flags.fast ? std::vector<double>{0.2, 0.65}
+                                 : std::vector<double>{0.1, 0.3, 0.5, 0.65, 0.8}) {
+    const auto rows = runTable(def, modelWithL2CodeShare(share), runner);
+    const auto delay = [&](std::size_t probe, std::size_t series) {
+      return rows[probe][series].run.mean_delay_us;
+    };
+    t.addRow({share, delay(0, 0) - delay(0, 1), reductionPercent(delay(1, 0), delay(1, 1))});
   }
   t.print();
   return 0;

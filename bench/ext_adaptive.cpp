@@ -40,47 +40,30 @@ int main(int argc, char** argv) {
   const double& hot_share = cli.flag<double>("hot-share", 0.5, "hot streams' rate share");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
+  const FigureParams p = flags.params();
+  FigureDef def = delayVsRate(
+      p, rateSweep(flags.fast),
+      {locking("Locking_MRU", LockingPolicy::kMru), ips("IPS_Wired", IpsPolicy::kWired),
+       hybrid("Oracle_Hybrid", hot),
+       extend(hybrid("", 0), "Adaptive_Hybrid", [](SimConfig& c) { c.adaptive_hybrid = true; })});
+  def.base_seed = true;
+  // The hot streams turn midway through each row's warmup.
+  def.workload = [p, hot, hot_share, batch](double rate) {
+    return turningHotWorkload(static_cast<std::size_t>(hot), static_cast<std::size_t>(p.streams),
+                              rate, hot_share, batch, p.makeConfigFor(rate).warmup_us * 0.5);
+  };
+
   std::printf("# Adaptive hybrid — %d of %d streams turn hot (batch %.0f) after warmup\n", hot,
               flags.streams, batch);
   TableWriter t({"rate_pkts_per_s", "Locking_MRU", "IPS_Wired", "Oracle_Hybrid",
                  "Adaptive_Hybrid", "reclassifications"},
                 flags.csv, 1);
-  for (double rate : rateSweep(flags.fast)) {
-    SimConfig base = flags.makeConfigFor(rate);
-    const double switch_time = base.warmup_us * 0.5;
-    const auto streams = turningHotWorkload(static_cast<std::size_t>(hot),
-                                            static_cast<std::size_t>(flags.streams), rate,
-                                            hot_share, batch, switch_time);
+  const auto rows = runTable(def, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < def.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rate));
-
-    SimConfig c = base;
-    c.policy.paradigm = Paradigm::kLocking;
-    c.policy.locking = LockingPolicy::kMru;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-
-    c = base;
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = IpsPolicy::kWired;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-
-    c = base;
-    c.policy.paradigm = Paradigm::kHybrid;
-    c.policy.locking = LockingPolicy::kMru;
-    c.policy.ips = IpsPolicy::kWired;
-    for (int h = 0; h < hot; ++h)
-      c.policy.hybrid_locking_streams.push_back(static_cast<std::uint32_t>(h));
-    t.add(runOnce(c, model, streams).mean_delay_us);
-
-    c = base;
-    c.policy.paradigm = Paradigm::kHybrid;
-    c.policy.locking = LockingPolicy::kMru;
-    c.policy.ips = IpsPolicy::kWired;
-    c.adaptive_hybrid = true;
-    const RunMetrics adaptive = runOnce(c, model, streams);
-    t.add(adaptive.mean_delay_us);
-    t.add(static_cast<double>(adaptive.reclassifications));
+    t.add(perSecond(def.xs[i]));
+    addDelays(t, rows[i]);
+    t.add(static_cast<double>(rows[i].back().run.reclassifications));
   }
   t.print();
   return 0;

@@ -18,46 +18,38 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto model = ExecTimeModel::standard();
+  FigureDef def = delayVsRate(flags.params(), rateSweep(flags.fast),
+                              {locking("MRU", LockingPolicy::kMru),
+                               ips("IPSWired", IpsPolicy::kWired)});
+  def.base_seed = true;
+
   std::printf("# analytic (A) vs simulated (S) mean delay, us; err = (A-S)/S\n");
   TableWriter t({"rate_pkts_per_s", "MRU_sim", "MRU_ana", "MRU_err%", "IPSWired_sim",
                  "IPSWired_ana", "IPSWired_err%"},
                 flags.csv, 1);
-  for (double rate : rateSweep(flags.fast)) {
+  const auto emit = [&t](const RunMetrics& s, const Prediction& a) {
+    if (s.saturated || !a.stable) {
+      t.addText(s.saturated ? "sat" : "-");
+      t.addText(a.stable ? "-" : "unstable");
+      t.addText("-");
+      return;
+    }
+    t.add(s.mean_delay_us);
+    t.add(a.delay_us);
+    t.add(100.0 * (a.delay_us - s.mean_delay_us) / s.mean_delay_us);
+  };
+  const auto rows = runTable(def, model, flags.runner());
+  for (std::size_t i = 0; i < def.xs.size(); ++i) {
     PredictorInput in;
     in.num_procs = static_cast<unsigned>(flags.procs);
     in.num_streams = static_cast<unsigned>(flags.streams);
-    in.rate_per_us = rate;
+    in.rate_per_us = def.xs[i];
     in.lock_overhead_us = flags.lock_overhead;
     in.critical_section_us = flags.critical_section;
-
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-
-    SimConfig c = flags.makeConfigFor(rate);
-    c.policy.paradigm = Paradigm::kLocking;
-    c.policy.locking = LockingPolicy::kMru;
-    const RunMetrics sim_mru = runOnce(c, model, streams);
-    const Prediction ana_mru = predictLocking(model, LockingPolicy::kMru, in);
-
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = IpsPolicy::kWired;
-    const RunMetrics sim_ips = runOnce(c, model, streams);
-    const Prediction ana_ips = predictIps(model, IpsPolicy::kWired, in);
-
     t.beginRow();
-    t.add(perSecond(rate));
-    const auto emit = [&t](const RunMetrics& s, const Prediction& a) {
-      if (s.saturated || !a.stable) {
-        t.addText(s.saturated ? "sat" : "-");
-        t.addText(a.stable ? "-" : "unstable");
-        t.addText("-");
-        return;
-      }
-      t.add(s.mean_delay_us);
-      t.add(a.delay_us);
-      t.add(100.0 * (a.delay_us - s.mean_delay_us) / s.mean_delay_us);
-    };
-    emit(sim_mru, ana_mru);
-    emit(sim_ips, ana_ips);
+    t.add(perSecond(def.xs[i]));
+    emit(rows[i][0].run, predictLocking(model, LockingPolicy::kMru, in));
+    emit(rows[i][1].run, predictIps(model, IpsPolicy::kWired, in));
   }
   t.print();
   return 0;

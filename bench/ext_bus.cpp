@@ -4,7 +4,6 @@
 // (b) *amplifies* the affinity-scheduling benefit, since warm packets put
 // almost nothing on the bus. The paper's platform model folds the bus into
 // measured miss penalties; this extension makes contention explicit.
-#include <array>
 #include <cstdio>
 
 #include "bench/common.hpp"
@@ -19,60 +18,46 @@ int main(int argc, char** argv) {
       cli.flag<double>("bus-occupancy", 0.35, "bus share of each L2-reload microsecond");
   cli.parse(argc, argv);
 
+  // Each policy without and with the bus.
+  std::vector<Series> series;
+  for (const Series& policy : {locking("FCFS", LockingPolicy::kFcfs),
+                               locking("StreamMRU", LockingPolicy::kStreamMru)}) {
+    for (const auto& [suffix, occ] : {std::pair{"_nobus", 0.0}, std::pair{"_bus", occupancy}})
+      series.push_back(extend(policy, policy.name + suffix,
+                              [occ](SimConfig& c) { c.bus_occupancy_fraction = occ; }));
+  }
   const auto model = ExecTimeModel::standard();
+  const SweepRunner runner = flags.runner();
+  const FigureDef sweep = delayVsRate(flags.params(), rateSweep(flags.fast), series);
+
   std::printf("# bus contention (occupancy %.2f) — mean delay, us\n", occupancy);
   TableWriter t({"rate_pkts_per_s", "FCFS_nobus", "FCFS_bus", "StreamMRU_nobus",
                  "StreamMRU_bus"},
                 flags.csv, 1);
-  const auto rates = rateSweep(flags.fast);
-  const auto rows = sweep(flags, rates.size(), [&](std::size_t i) {
-    const double rate = rates[i];
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    std::array<RunMetrics, 4> row;
-    std::size_t k = 0;
-    for (LockingPolicy p : {LockingPolicy::kFcfs, LockingPolicy::kStreamMru}) {
-      for (double occ : {0.0, occupancy}) {
-        SimConfig c = flags.makeConfigFor(rate);
-        c.seed = pointSeed(flags, i);
-        c.policy.paradigm = Paradigm::kLocking;
-        c.policy.locking = p;
-        c.bus_occupancy_fraction = occ;
-        row[k++] = runOnce(c, model, streams);
-      }
-    }
-    return row;
-  });
-  for (std::size_t i = 0; i < rates.size(); ++i) {
+  const auto rows = runTable(sweep, model, runner);
+  for (std::size_t i = 0; i < sweep.xs.size(); ++i) {
     t.beginRow();
-    t.add(perSecond(rates[i]));
-    for (const RunMetrics& m : rows[i]) {
-      if (m.saturated) {
+    t.add(perSecond(sweep.xs[i]));
+    for (const Cell& cell : rows[i]) {
+      if (cell.run.saturated) {
         char buf[32];
-        std::snprintf(buf, sizeof buf, "%.0f*", m.mean_delay_us);
+        std::snprintf(buf, sizeof buf, "%.0f*", cell.run.mean_delay_us);
         t.addText(buf);
       } else {
-        t.add(m.mean_delay_us);
+        t.add(cell.run.mean_delay_us);
       }
     }
   }
   t.print();
 
   // Affinity benefit with and without the bus, near the no-affinity knee.
-  const double probe = 0.036;
-  double red[2];
-  int i = 0;
-  for (double occ : {0.0, occupancy}) {
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), probe);
-    SimConfig c = flags.makeConfigFor(probe);
-    c.bus_occupancy_fraction = occ;
-    c.policy.paradigm = Paradigm::kLocking;
-    c.policy.locking = LockingPolicy::kFcfs;
-    const RunMetrics base = runOnce(c, model, streams);
-    c.policy.locking = LockingPolicy::kStreamMru;
-    const RunMetrics aff = runOnce(c, model, streams);
-    red[i++] = reductionPercent(base.mean_delay_us, aff.mean_delay_us);
-  }
+  FigureDef probe = delayVsRate(flags.params(), {0.036}, series);
+  probe.base_seed = true;
+  const std::vector<Cell> cells = runTable(probe, model, runner)[0];
+  const auto reduction = [&](std::size_t bus) {
+    return reductionPercent(cells[bus].run.mean_delay_us, cells[2 + bus].run.mean_delay_us);
+  };
   std::printf("\n# affinity reduction at %.0f pkts/s: %.1f%% without bus, %.1f%% with bus\n",
-              perSecond(probe), red[0], red[1]);
+              perSecond(probe.xs[0]), reduction(0), reduction(1));
   return 0;
 }

@@ -35,34 +35,19 @@ int main(int argc, char** argv) {
   const double& batch = cli.flag<double>("batch", 16.0, "hot-stream batch size");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
   const std::size_t cold = static_cast<std::size_t>(flags.streams) - hot;
+  FigureDef def = delayVsRate(flags.params(), rateSweep(flags.fast),
+                              {locking("Locking_MRU", LockingPolicy::kMru),
+                               ips("IPS_Wired", IpsPolicy::kWired), hybrid("Hybrid", hot)});
+  def.base_seed = true;
+  def.workload = [hot = static_cast<std::size_t>(hot), cold, hot_share, batch](double rate) {
+    return hotColdBursty(hot, cold, rate, hot_share, batch);
+  };
 
   std::printf("# Hybrid — %d hot bursty streams (batch %.0f, %.0f%% of load) + %zu quiet\n", hot,
               batch, 100 * hot_share, cold);
   TableWriter t({"rate_pkts_per_s", "Locking_MRU", "IPS_Wired", "Hybrid"}, flags.csv, 1);
-  for (double rate : rateSweep(flags.fast)) {
-    const auto streams = hotColdBursty(static_cast<std::size_t>(hot), cold, rate, hot_share, batch);
-    t.beginRow();
-    t.add(perSecond(rate));
-
-    SimConfig c = flags.makeConfigFor(rate);
-    c.policy.paradigm = Paradigm::kLocking;
-    c.policy.locking = LockingPolicy::kMru;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = IpsPolicy::kWired;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-
-    c.policy.paradigm = Paradigm::kHybrid;
-    c.policy.locking = LockingPolicy::kMru;
-    c.policy.ips = IpsPolicy::kWired;
-    c.policy.hybrid_locking_streams.clear();
-    for (int h = 0; h < hot; ++h)
-      c.policy.hybrid_locking_streams.push_back(static_cast<std::uint32_t>(h));
-    t.add(runOnce(c, model, streams).mean_delay_us);
-  }
+  addDelayRows(t, def, runTable(def, ExecTimeModel::standard(), flags.runner()), 1e6);
   t.print();
   return 0;
 }

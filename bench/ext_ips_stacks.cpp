@@ -15,24 +15,26 @@ int main(int argc, char** argv) {
   const double& rate = cli.flag<double>("rate", 0.02, "aggregate packet rate (pkts/us)");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
-  const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
+  FigureDef def;
+  def.xs = flags.fast ? std::vector<double>{2, 8, 16} : std::vector<double>{1, 2, 4, 8, 12, 16};
+  def.base_seed = true;
+  def.config = [p = flags.params(), rate](double stacks) {
+    SimConfig c = p.makeConfigFor(rate);
+    c.policy.ips_stacks = static_cast<unsigned>(stacks);
+    return c;
+  };
+  def.workload = [n = static_cast<std::size_t>(flags.streams), rate](double) {
+    return makePoissonStreams(n, rate);
+  };
+  def.series = {ips("Wired", IpsPolicy::kWired), ips("MRU", IpsPolicy::kMru)};
+
   std::printf("# Extension iii — IPS, %d procs, %d streams, rate %.0f pkts/s\n", flags.procs,
               flags.streams, perSecond(rate));
   TableWriter t({"stacks", "Wired_delay_us", "MRU_delay_us", "Wired_util"}, flags.csv, 2);
-  const std::vector<unsigned> stack_counts =
-      flags.fast ? std::vector<unsigned>{2, 8, 16} : std::vector<unsigned>{1, 2, 4, 8, 12, 16};
-  for (unsigned k : stack_counts) {
-    SimConfig c = flags.makeConfigFor(rate);
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips_stacks = k;
-    c.policy.ips = IpsPolicy::kWired;
-    const RunMetrics wired = runOnce(c, model, streams);
-    c.policy.ips = IpsPolicy::kMru;
-    const RunMetrics mru = runOnce(c, model, streams);
-    t.addRow({static_cast<double>(k), wired.mean_delay_us, mru.mean_delay_us,
-              wired.utilization});
-  }
+  const auto rows = runTable(def, ExecTimeModel::standard(), flags.runner());
+  for (std::size_t i = 0; i < def.xs.size(); ++i)
+    t.addRow({def.xs[i], rows[i][0].run.mean_delay_us, rows[i][1].run.mean_delay_us,
+              rows[i][0].run.utilization});
   t.print();
   return 0;
 }

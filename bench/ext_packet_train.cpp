@@ -17,33 +17,21 @@ int main(int argc, char** argv) {
   const double& gap = cli.flag<double>("intercar-gap", 30.0, "gap between cars (us)");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
-  SimConfig fcfs = flags.makeConfig();
-  fcfs.policy.paradigm = Paradigm::kLocking;
-  fcfs.policy.locking = LockingPolicy::kFcfs;
-  SimConfig mru = fcfs;
-  mru.policy.locking = LockingPolicy::kMru;
-  SimConfig smru = fcfs;
-  smru.policy.locking = LockingPolicy::kStreamMru;
-  SimConfig ips = flags.makeConfig();
-  ips.policy.paradigm = Paradigm::kIps;
-  ips.policy.ips = IpsPolicy::kWired;
+  FigureDef def;
+  def.xs = flags.fast ? std::vector<double>{1, 8} : std::vector<double>{1, 2, 4, 8, 12, 16};
+  def.base_seed = true;
+  def.config = [p = flags.params()](double) { return p.makeConfig(); };
+  def.workload = [n = static_cast<std::size_t>(flags.streams), rate, gap](double len) {
+    return makeTrainStreams(n, rate, len, gap);
+  };
+  def.series = {locking("FCFS", LockingPolicy::kFcfs), locking("MRU", LockingPolicy::kMru),
+                locking("StreamMRU", LockingPolicy::kStreamMru),
+                ips("IPS_Wired", IpsPolicy::kWired)};
 
   std::printf("# Extension ii — packet trains, rate %.0f pkts/s, intercar gap %.0f us\n",
               perSecond(rate), gap);
   TableWriter t({"train_len", "FCFS", "MRU", "StreamMRU", "IPS_Wired"}, flags.csv, 1);
-  const std::vector<double> lens =
-      flags.fast ? std::vector<double>{1, 8} : std::vector<double>{1, 2, 4, 8, 12, 16};
-  for (double len : lens) {
-    const auto streams =
-        makeTrainStreams(static_cast<std::size_t>(flags.streams), rate, len, gap);
-    t.beginRow();
-    t.add(len);
-    t.add(runOnce(fcfs, model, streams).mean_delay_us);
-    t.add(runOnce(mru, model, streams).mean_delay_us);
-    t.add(runOnce(smru, model, streams).mean_delay_us);
-    t.add(runOnce(ips, model, streams).mean_delay_us);
-  }
+  addDelayRows(t, def, runTable(def, ExecTimeModel::standard(), flags.runner()));
   t.print();
   return 0;
 }

@@ -77,9 +77,11 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto model = ExecTimeModel::standard();
+  const SweepRunner runner = flags.runner();
+  const FigureParams params = flags.params();
   const auto base = [&](Paradigm paradigm, LockingPolicy locking,
                         net::NicDispatchMode dispatch) {
-    SimConfig c = flags.makeConfig();
+    SimConfig c = params.makeConfig();
     c.policy.paradigm = paradigm;
     c.policy.locking = locking;
     c.policy.ips = IpsPolicy::kWired;
@@ -98,18 +100,18 @@ int main(int argc, char** argv) {
     double mru, ips, wired_direct, wired_rss, steal_direct, steal_rss, steal_tfn;
     double spread_rss, spread_tfn;  // max-min per-proc busy fraction
   };
-  const auto sweep_rows = sweep(flags, rates.size(), [&](std::size_t i) {
+  const auto sweep_rows = runner.map(rates.size(), [&](std::size_t i) {
     const auto streams =
         makePoissonStreams(static_cast<std::size_t>(flags.streams), rates[i]);
     const auto run = [&](SimConfig c) {
-      c.seed = pointSeed(flags, i);
+      c.seed = derivePointSeed(flags.seed, i);
       setAutoWindow(c, rates[i], flags.fast ? 15'000 : 80'000);
       return runOnce(c, model, streams).mean_delay_us;
     };
     // The two steal columns that feed the load-spread bar also harvest the
     // per-proc busy fractions from a private registry.
     const auto runSpread = [&](SimConfig c, double* spread) {
-      c.seed = pointSeed(flags, i);
+      c.seed = derivePointSeed(flags.seed, i);
       setAutoWindow(c, rates[i], flags.fast ? 15'000 : 80'000);
       obs::MetricsRegistry reg;
       c.metrics = &reg;
@@ -170,7 +172,7 @@ int main(int argc, char** argv) {
                            "steals", "stolen_jobs", "migrations"},
                           flags.csv, 4);
   const std::size_t n_policies = std::size(kBurstPolicies);
-  const auto burst_rows = sweep(flags, n_policies, [&](std::size_t i) {
+  const auto burst_rows = runner.map(n_policies, [&](std::size_t i) {
     const PolicyPoint& p = kBurstPolicies[i];
     const auto streams = makeBatchStreams(static_cast<std::size_t>(flags.streams), rate,
                                           batch, /*geometric=*/false);
@@ -178,7 +180,7 @@ int main(int argc, char** argv) {
     c.policy.ips = p.ips;
     // Every policy runs the same seed: identical arrival sequences, so the
     // burst-point rows differ only through scheduling.
-    c.seed = pointSeed(flags, 0);
+    c.seed = derivePointSeed(flags.seed, 0);
     // A private registry per run: the warm fractions and steal counters
     // below must be this run's, not the table's aggregate.
     obs::MetricsRegistry reg;

@@ -13,36 +13,18 @@ int main(int argc, char** argv) {
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
-  // Send path: relatively more code, less per-stream state than receive.
-  FootprintShares send_shares;
-  send_shares.l1_code = 0.40;
-  send_shares.l1_shared = 0.20;
-  send_shares.l1_stream = 0.40;
-  send_shares.l2_code = 0.70;
-  send_shares.l2_shared = 0.15;
-  send_shares.l2_stream = 0.15;
   const ExecTimeModel model(FlushModel(MachineParams::sgiChallenge(), SstParams::mvsWorkload()),
-                            ReloadParams::measuredUdpSend(), send_shares);
+                            ReloadParams::measuredUdpSend(), FootprintShares::measuredUdpSend());
+  FigureDef def = delayVsRate(
+      flags.params(), rateSweep(flags.fast),
+      {locking("FCFS", LockingPolicy::kFcfs), locking("MRU", LockingPolicy::kMru),
+       locking("WiredStreams", LockingPolicy::kWiredStreams), ips("IPS_Wired", IpsPolicy::kWired)});
+  def.base_seed = true;
 
   std::printf("# Extension i — send-side UDP/IP/FDDI (t_warm=%.0f, t_cold=%.0f)\n", model.tWarm(),
               model.tCold());
   TableWriter t({"rate_pkts_per_s", "FCFS", "MRU", "WiredStreams", "IPS_Wired"}, flags.csv, 1);
-  for (double rate : rateSweep(flags.fast)) {
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    t.beginRow();
-    t.add(perSecond(rate));
-    for (LockingPolicy p :
-         {LockingPolicy::kFcfs, LockingPolicy::kMru, LockingPolicy::kWiredStreams}) {
-      SimConfig c = flags.makeConfigFor(rate);
-      c.policy.paradigm = Paradigm::kLocking;
-      c.policy.locking = p;
-      t.add(runOnce(c, model, streams).mean_delay_us);
-    }
-    SimConfig c = flags.makeConfigFor(rate);
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = IpsPolicy::kWired;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-  }
+  addDelayRows(t, def, runTable(def, model, flags.runner()), 1e6);
   t.print();
   return 0;
 }

@@ -17,28 +17,21 @@ int main(int argc, char** argv) {
   const double& rate = cli.flag<double>("rate", 0.02, "aggregate packet rate (pkts/us)");
   cli.parse(argc, argv);
 
-  const auto model = ExecTimeModel::standard();
+  FigureDef def;
+  def.xs = flags.fast ? std::vector<double>{8, 64} : std::vector<double>{4, 8, 16, 32, 64, 128};
+  def.base_seed = true;
+  def.config = [p = flags.params(), rate](double) { return p.makeConfigFor(rate); };
+  def.workload = [rate](double streams) {
+    return makePoissonStreams(static_cast<std::size_t>(streams), rate);
+  };
+  def.series = {locking("FCFS", LockingPolicy::kFcfs), locking("MRU", LockingPolicy::kMru),
+                locking("StreamMRU", LockingPolicy::kStreamMru),
+                ips("IPS_Wired", IpsPolicy::kWired)};
+
   std::printf("# stream population sweep — rate %.0f pkts/s, %d procs\n", perSecond(rate),
               flags.procs);
   TableWriter t({"streams", "FCFS", "MRU", "StreamMRU", "IPS_Wired"}, flags.csv, 1);
-  const std::vector<int> counts = flags.fast ? std::vector<int>{8, 64}
-                                             : std::vector<int>{4, 8, 16, 32, 64, 128};
-  for (int n : counts) {
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(n), rate);
-    t.beginRow();
-    t.add(n);
-    for (LockingPolicy p :
-         {LockingPolicy::kFcfs, LockingPolicy::kMru, LockingPolicy::kStreamMru}) {
-      SimConfig c = flags.makeConfigFor(rate);
-      c.policy.paradigm = Paradigm::kLocking;
-      c.policy.locking = p;
-      t.add(runOnce(c, model, streams).mean_delay_us);
-    }
-    SimConfig c = flags.makeConfigFor(rate);
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = IpsPolicy::kWired;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-  }
+  addDelayRows(t, def, runTable(def, ExecTimeModel::standard(), flags.runner()));
   t.print();
   return 0;
 }

@@ -16,35 +16,19 @@ int main(int argc, char** argv) {
   const auto flags = CommonFlags::declare(cli);
   cli.parse(argc, argv);
 
-  FootprintShares tcp_shares;  // heavier per-connection state than UDP
-  tcp_shares.l1_code = 0.26;
-  tcp_shares.l1_shared = 0.18;
-  tcp_shares.l1_stream = 0.56;
-  tcp_shares.l2_code = 0.60;
-  tcp_shares.l2_shared = 0.14;
-  tcp_shares.l2_stream = 0.26;
   const ExecTimeModel model(FlushModel(MachineParams::sgiChallenge(), SstParams::mvsWorkload()),
-                            ReloadParams::measuredTcpReceive(), tcp_shares);
+                            ReloadParams::measuredTcpReceive(),
+                            FootprintShares::measuredTcpReceive());
+  FigureDef def = delayVsRate(
+      flags.params(), rateSweep(flags.fast),
+      {locking("FCFS", LockingPolicy::kFcfs), locking("MRU", LockingPolicy::kMru),
+       locking("StreamMRU", LockingPolicy::kStreamMru), ips("IPS_Wired", IpsPolicy::kWired)});
+  def.base_seed = true;
 
   std::printf("# TCP receive path — t_warm=%.1f t_cold=%.1f (UDP: 135.7/284.3)\n", model.tWarm(),
               model.tCold());
   TableWriter t({"rate_pkts_per_s", "FCFS", "MRU", "StreamMRU", "IPS_Wired"}, flags.csv, 1);
-  for (double rate : rateSweep(flags.fast)) {
-    const auto streams = makePoissonStreams(static_cast<std::size_t>(flags.streams), rate);
-    t.beginRow();
-    t.add(perSecond(rate));
-    for (LockingPolicy p :
-         {LockingPolicy::kFcfs, LockingPolicy::kMru, LockingPolicy::kStreamMru}) {
-      SimConfig c = flags.makeConfigFor(rate);
-      c.policy.paradigm = Paradigm::kLocking;
-      c.policy.locking = p;
-      t.add(runOnce(c, model, streams).mean_delay_us);
-    }
-    SimConfig c = flags.makeConfigFor(rate);
-    c.policy.paradigm = Paradigm::kIps;
-    c.policy.ips = IpsPolicy::kWired;
-    t.add(runOnce(c, model, streams).mean_delay_us);
-  }
+  addDelayRows(t, def, runTable(def, model, flags.runner()), 1e6);
   t.print();
   return 0;
 }

@@ -22,12 +22,7 @@ int main(int argc, char** argv) {
     const FigureDef fig = fig07LockingMarginal(params);
     std::printf("# Figure 7 — Locking, %d procs, %d streams\n", flags.procs, nstreams);
     TableWriter t({"rate_pkts_per_s", "FCFS", "MRU", "StreamMRU", "WiredStreams"}, flags.csv, 1);
-    const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
-    for (std::size_t i = 0; i < fig.xs.size(); ++i) {
-      t.beginRow();
-      t.add(perSecond(fig.xs[i]));
-      addDelays(t, rows[i]);
-    }
+    addDelayRows(t, fig, runTable(fig, ExecTimeModel::standard(), flags.runner()), 1e6);
     t.print();
     std::printf("\n");
   }

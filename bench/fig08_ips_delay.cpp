@@ -19,12 +19,7 @@ int main(int argc, char** argv) {
   std::printf("# Figure 8 — IPS, %d procs (one stack per proc), %d streams\n", flags.procs,
               flags.streams);
   TableWriter t({"rate_pkts_per_s", "Random", "MRU", "Wired"}, flags.csv, 1);
-  const auto rows = runTable(fig, ExecTimeModel::standard(), flags.runner());
-  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
-    t.beginRow();
-    t.add(perSecond(fig.xs[i]));
-    addDelays(t, rows[i]);
-  }
+  addDelayRows(t, fig, runTable(fig, ExecTimeModel::standard(), flags.runner()), 1e6);
   t.print();
   return 0;
 }

@@ -23,12 +23,7 @@ int main(int argc, char** argv) {
   std::printf("# Figure 9 — Locking/MRU vs IPS/Wired, %d procs, %d streams\n", flags.procs,
               flags.streams);
   TableWriter t({"rate_pkts_per_s", "Locking_MRU", "IPS_Wired"}, flags.csv, 1);
-  const auto rows = runTable(fig, model, runner);
-  for (std::size_t i = 0; i < fig.xs.size(); ++i) {
-    t.beginRow();
-    t.add(perSecond(fig.xs[i]));
-    addDelays(t, rows[i]);
-  }
+  addDelayRows(t, fig, runTable(fig, model, runner), 1e6);
   t.print();
 
   const FigureDef capacity = fig09Capacity(flags.params(), bound);

@@ -11,50 +11,16 @@ namespace affinity::bench {
 
 namespace {
 
-Series locking(std::string name, LockingPolicy policy) {
-  return {std::move(name), [policy](SimConfig& c) {
-            c.policy.paradigm = Paradigm::kLocking;
-            c.policy.locking = policy;
-          }};
-}
-
-Series ips(std::string name, IpsPolicy policy) {
-  return {std::move(name), [policy](SimConfig& c) {
-            c.policy.paradigm = Paradigm::kIps;
-            c.policy.ips = policy;
-          }};
-}
-
 /// Figs 10 and 11: the baseline and the affinity series at each fixed
 /// per-packet overhead V, V-major.
 std::vector<Series> overV(std::initializer_list<Series> pair) {
   std::vector<Series> out;
   for (int v : {0, 35, 70, 139}) {
-    for (const Series& s : pair) {
-      out.push_back({s.name + " V=" + std::to_string(v), [v, edit = s.edit](SimConfig& c) {
-                       c.fixed_overhead_us = v;
-                       edit(c);
-                     }});
-    }
+    for (const Series& s : pair)
+      out.push_back(extend(s, s.name + " V=" + std::to_string(v),
+                           [v](SimConfig& c) { c.fixed_overhead_us = v; }));
   }
   return out;
-}
-
-StreamSetFactory poisson(int streams) {
-  return [n = static_cast<std::size_t>(streams)](double rate) {
-    return makePoissonStreams(n, rate);
-  };
-}
-
-/// Mean delay vs aggregate rate over Poisson streams, the window sized per rate.
-FigureDef delayVsRate(const FigureParams& p, std::vector<double> rates,
-                      std::vector<Series> series) {
-  FigureDef d;
-  d.xs = std::move(rates);
-  d.config = [p](double rate) { return p.makeConfigFor(rate); };
-  d.workload = poisson(p.streams);
-  d.series = std::move(series);
-  return d;
 }
 
 Cell runCellAt(const FigureDef& def, const ExecTimeModel& model, std::size_t row,
@@ -72,6 +38,53 @@ Cell runCellAt(const FigureDef& def, const ExecTimeModel& model, std::size_t row
 }
 
 }  // namespace
+
+Series locking(std::string name, LockingPolicy policy) {
+  return {std::move(name), [policy](SimConfig& c) {
+            c.policy.paradigm = Paradigm::kLocking;
+            c.policy.locking = policy;
+          }};
+}
+
+Series ips(std::string name, IpsPolicy policy) {
+  return {std::move(name), [policy](SimConfig& c) {
+            c.policy.paradigm = Paradigm::kIps;
+            c.policy.ips = policy;
+          }};
+}
+
+Series hybrid(std::string name, int locking_streams) {
+  return {std::move(name), [locking_streams](SimConfig& c) {
+            c.policy.paradigm = Paradigm::kHybrid;
+            c.policy.locking = LockingPolicy::kMru;
+            c.policy.ips = IpsPolicy::kWired;
+            for (int s = 0; s < locking_streams; ++s)
+              c.policy.hybrid_locking_streams.push_back(static_cast<std::uint32_t>(s));
+          }};
+}
+
+Series extend(const Series& base, std::string name, std::function<void(SimConfig&)> edit) {
+  return {std::move(name), [first = base.edit, then = std::move(edit)](SimConfig& c) {
+            first(c);
+            then(c);
+          }};
+}
+
+StreamSetFactory poisson(int streams) {
+  return [n = static_cast<std::size_t>(streams)](double rate) {
+    return makePoissonStreams(n, rate);
+  };
+}
+
+FigureDef delayVsRate(const FigureParams& p, std::vector<double> rates,
+                      std::vector<Series> series) {
+  FigureDef d;
+  d.xs = std::move(rates);
+  d.config = [p](double rate) { return p.makeConfigFor(rate); };
+  d.workload = poisson(p.streams);
+  d.series = std::move(series);
+  return d;
+}
 
 SimConfig FigureParams::makeConfig() const {
   SimConfig c = defaultSimConfig();

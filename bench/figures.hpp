@@ -75,6 +75,25 @@ struct FigureDef {
   std::vector<Series> series;
 };
 
+// Series and definition builders, shared by the figures below and by the
+// extension drivers' own definitions.
+
+/// The Locking paradigm under `policy`.
+Series locking(std::string name, LockingPolicy policy);
+/// The IPS paradigm under `policy`.
+Series ips(std::string name, IpsPolicy policy);
+/// The hybrid paradigm: streams [0, locking_streams) take the Locking/MRU
+/// stack, the rest IPS/Wired stacks.
+Series hybrid(std::string name, int locking_streams);
+/// `base` renamed to `name`, with `edit` applied after base's own edit.
+Series extend(const Series& base, std::string name, std::function<void(SimConfig&)> edit);
+/// `streams` Poisson streams sharing the offered aggregate rate.
+StreamSetFactory poisson(int streams);
+/// Mean delay vs aggregate rate over Poisson streams, the window sized per
+/// rate, each row at its derived point seed.
+FigureDef delayVsRate(const FigureParams& p, std::vector<double> rates,
+                      std::vector<Series> series);
+
 /// One cell of a table.
 struct Cell {
   RunMetrics run;  ///< under a capacity search: the run at the highest feasible rate

@@ -57,10 +57,10 @@ int main(int argc, char** argv) {
       {"IPS/Wired", Paradigm::kIps, LockingPolicy::kMru, IpsPolicy::kWired},
   };
   const std::size_t ncases = std::size(cases);
-  const auto counts = sweep(flags, ncases, [&](std::size_t i) {
+  const auto counts = flags.runner().map(ncases, [&](std::size_t i) {
     const Case& cs = cases[i];
-    SimConfig c = flags.makeConfig();
-    c.seed = pointSeed(flags, i);
+    SimConfig c = flags.params().makeConfig();
+    c.seed = derivePointSeed(flags.seed, i);
     c.measure_us = flags.fast ? 200'000.0 : 700'000.0;
     c.policy.paradigm = cs.paradigm;
     c.policy.locking = cs.locking;

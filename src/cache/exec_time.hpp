@@ -90,6 +90,25 @@ struct FootprintShares {
   double l2_shared = 0.15;  ///< share of ΔL2 from writable shared stack data
   double l2_stream = 0.20;  ///< share of ΔL2 from per-stream PCB/session state
 
+  // Each protocol profile's shares, paired with the ReloadParams::measured*
+  // factory of the same name.
+
+  /// Receive-side UDP/IP/FDDI: the defaults above.
+  static FootprintShares measuredUdpReceive() noexcept { return FootprintShares{}; }
+
+  /// Send path: relatively more code, less per-stream state than receive.
+  static FootprintShares measuredUdpSend() noexcept {
+    return {.l1_code = 0.40, .l1_shared = 0.20, .l1_stream = 0.40,
+            .l2_code = 0.70, .l2_shared = 0.15, .l2_stream = 0.15};
+  }
+
+  /// TCP receive path: heavier per-connection state than UDP (the TCP PCB
+  /// is large).
+  static FootprintShares measuredTcpReceive() noexcept {
+    return {.l1_code = 0.26, .l1_shared = 0.18, .l1_stream = 0.56,
+            .l2_code = 0.60, .l2_shared = 0.14, .l2_stream = 0.26};
+  }
+
   [[nodiscard]] bool valid() const noexcept {
     const auto ok = [](double a, double b, double c) {
       const double sum = a + b + c;

@@ -76,8 +76,8 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
       !readInt(cfg, "policy.steal_min_queue", 2, &out.steal_min_queue, error))
     return false;
   out.steal_penalty_us = cfg.getDouble("policy.steal_penalty_us", 5.0);
-  if (!(out.steal_penalty_us >= 0.0))
-    return fail(error, "policy.steal_penalty_us must be >= 0");
+  if (!(out.steal_penalty_us >= 0.0 && std::isfinite(out.steal_penalty_us)))
+    return fail(error, "policy.steal_penalty_us must be finite and >= 0");
 
   // A key that only one mode reads is an error under any other mode: a
   // scenario that sets it would otherwise run with the key silently ignored.
@@ -112,13 +112,16 @@ bool parsePolicy(const ConfigFile& cfg, SimConfig& out, std::string* error) {
 bool parseModel(const ConfigFile& cfg, ExecTimeModel& out, std::string* error) {
   const std::string profile = cfg.getString("model.profile", "udp-receive");
   ReloadParams reload;
-  FootprintShares shares;  // receive-path defaults
+  FootprintShares shares;
   if (profile == "udp-receive") {
     reload = ReloadParams::measuredUdpReceive();
+    shares = FootprintShares::measuredUdpReceive();
   } else if (profile == "udp-send") {
     reload = ReloadParams::measuredUdpSend();
+    shares = FootprintShares::measuredUdpSend();
   } else if (profile == "tcp-receive") {
     reload = ReloadParams::measuredTcpReceive();
+    shares = FootprintShares::measuredTcpReceive();
   } else {
     return fail(error, "unknown model.profile '" + profile + "'");
   }

@@ -9,7 +9,8 @@
 //
 //   [machine]  processors, lock_overhead_us, critical_section_us,
 //              bus_occupancy
-//   [model]    profile = udp-receive | udp-send | tcp-receive;
+//   [model]    profile = udp-receive | udp-send | tcp-receive (the
+//              profile's measured reload parameters and footprint shares);
 //              t_warm_us / dl1_us / dl2_us overrides
 //   [cache]    model = sst | reuse (displacement model behind the reload
 //              transients); topology = sgi-challenge | modern-llc (shared

@@ -184,9 +184,9 @@ Engine::Engine(unsigned workers, const EngineShape& shape, HostConfig host,
       pw.queue = std::make_unique<MpmcQueue<WorkItem>>(capacity);
     else if (shape.per_worker_queues)
       pw.ring = std::make_unique<SpscRing<WorkItem>>(capacity);
-    // Sized so a failover chain can never block the watchdog: in the worst
-    // case every other worker's ring (plus its recovery backlog) is flushed
-    // into the last survivor's lane.
+    // Sized so a failover chain never overflows it: in the worst case every
+    // other worker's ring (plus its recovery backlog) is flushed into the
+    // last survivor's lane.
     if (rehome_) pw.recovery = std::make_unique<MpmcQueue<WorkItem>>(2 * workers_ * capacity);
   }
 }
@@ -258,11 +258,13 @@ unsigned Engine::route(std::uint32_t stream) {
         break;
     }
   }
-  if (!rehome_) return w;
-  // Follow failover redirects (bounded: each hop moves to a declared-failed
-  // worker's successor; workers_ hops suffice even if every worker is dead,
-  // in which case the last one in the chain absorbs the frame and stop()
-  // reconciles it).
+  return rehome_ ? resolve(w) : w;
+}
+
+unsigned Engine::resolve(unsigned w) const noexcept {
+  // Bounded: each hop moves to a declared-failed worker's successor;
+  // workers_ hops suffice even if every worker is dead, in which case the
+  // last one in the chain absorbs the frame and stop() reconciles it.
   for (unsigned hop = 0; hop < workers_; ++hop) {
     const unsigned next = per_worker_[w].redirect.load(std::memory_order_acquire);
     if (next == w) break;
@@ -552,29 +554,34 @@ void Engine::declareFailed(unsigned w, bool exited) {
 
 void Engine::flushFailed(unsigned w) {
   // Pre: the worker's thread has exited (its `exited` flag was observed),
-  // so taking the ring's consumer seat is safe.
+  // so its ring's consumer seat and its stack are free.
+  //
+  // With no live successor the redirect chain resolves back to `w` and
+  // submitters keep refilling its ring. Leave the ring and the lane to
+  // stop()'s reconcile: draining them here would race the submitter (each
+  // pop makes room for another push) into a lane that nothing consumes.
+  if (resolve(w) == w) return;
   PerWorker& pw = per_worker_[w];
-  WorkItem item;
-  // Snapshot first, forward second. When no live successor exists the
-  // redirect chain resolves back to `w` itself; forwarding straight out of
-  // `pw.recovery` would then re-push every frame into the queue being
-  // popped and never terminate.
-  std::vector<WorkItem> pending;
-  // In-order flush: the ring first (submit order per stream), then any
-  // frames that were re-homed *to* this worker before it failed.
-  while (tryPop(w, item)) pending.push_back(std::move(item));
-  while (pw.recovery->tryPop(item)) pending.push_back(std::move(item));
-  pw.recovery_pending.store(false, std::memory_order_release);
   std::uint64_t moved = 0;
-  for (auto& it : pending) {
-    const unsigned target = route(it.stream);
-    PerWorker& tw = per_worker_[target];
-    tw.recovery->push(std::move(it));
-    tw.recovery_pending.store(true, std::memory_order_release);
-    // Self-parked frames (every worker dead) are reconciled by stop(),
-    // not re-homed to a survivor.
-    if (target != w) ++moved;
-  }
+  const auto forward = [&](WorkItem& item) {
+    PerWorker& tw = per_worker_[route(item.stream)];
+    if (tw.recovery->tryPush(std::move(item))) {
+      tw.recovery_pending.store(true, std::memory_order_release);
+      ++moved;
+    } else {
+      // The lanes' sizing (see the constructor) leaves room for every
+      // flushed frame; should a lane still be full, the watchdog does not
+      // wait: it drains the frame on the dead worker's stack, as stop()'s
+      // reconcile would.
+      runFrame(w, item, /*live=*/false);
+    }
+  };
+  // In-order flush: the ring first (submit order per stream), then any
+  // frames that were re-homed *to* this worker before it failed. Both
+  // loops end: submitters now route past `w`.
+  WorkItem item;
+  while (tryPop(w, item)) forward(item);
+  while (pw.recovery->tryPop(item)) forward(item);
   rehomed_.fetch_add(moved, std::memory_order_relaxed);
   if (trace_ != nullptr)
     trace_->instant(watchdog_track_, "ring flushed", trace_->steadyNowUs(), w);

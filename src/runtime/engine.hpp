@@ -433,6 +433,11 @@ class Engine {
   [[nodiscard]] bool queueDrainable(unsigned w, bool wired) const noexcept;
   void watchdogLoop(std::stop_token st);
   void declareFailed(unsigned w, bool exited);
+  /// `w` followed past workers the watchdog re-homed: `w` itself while it
+  /// is alive, or when no live successor was left.
+  [[nodiscard]] unsigned resolve(unsigned w) const noexcept;
+  /// Moves a dead worker's ring and recovery lane to its live successor's
+  /// lane; never blocks.
   void flushFailed(unsigned w);
 
   const unsigned workers_;

@@ -521,10 +521,10 @@ TEST(LockingEngineTest, BlockingSubmitFailsWhenEveryWorkerDies) {
 
 TEST(IpsEngineTest, SurvivesTotalWorkerLoss) {
   // Regression: when the LAST worker dies, its redirect chain resolves to
-  // itself. The watchdog's flush must park the backlog (not forward it back
-  // into the queue it is draining — that cycled forever), and a blocking
-  // submit must fail once no consumer can ever free ring space. stop()
-  // reconciles everything parked.
+  // itself. The watchdog's flush must leave the backlog in place (not
+  // forward it back into the queue it is draining — that cycled forever),
+  // and a blocking submit must fail once no consumer can ever free ring
+  // space. stop() reconciles everything left behind.
   EngineOptions opts;
   opts.queue_capacity = 8;
   opts.overload = OverloadPolicy::kBlock;  // no deadline
@@ -554,6 +554,42 @@ TEST(IpsEngineTest, SurvivesTotalWorkerLoss) {
   EXPECT_EQ(s.rejected_queue_full, static_cast<std::uint64_t>(rejected));
   EXPECT_TRUE(s.conserved());
   EXPECT_EQ(s.worker_failures, 2u);
+}
+
+TEST(IpsEngineTest, LastWorkerFlushNeverBlocksARacingSubmitter) {
+  // Regression: the watchdog drained the last dead worker's ring while a
+  // submitter kept refilling it (each pop made room for one more push),
+  // then blocked pushing that overgrown backlog into the worker's own
+  // recovery lane, which nothing consumes; stop() hung joining it. A
+  // worker with no live successor now keeps its ring for stop().
+  EngineOptions opts;
+  opts.queue_capacity = 2;
+  opts.overload = OverloadPolicy::kRejectNewest;
+  opts.watchdog = true;
+  opts.watchdog_interval = std::chrono::milliseconds(1);
+  opts.stall_timeout = std::chrono::milliseconds(5000);  // only kills trip it
+  const std::vector<std::uint8_t> frame = frameFor(0);
+  for (int life = 0; life < 20; ++life) {
+    IpsEngine eng(1, HostConfig{}, opts);
+    eng.openPort(7000, 1 << 16);
+    eng.start();
+    eng.injectWorkerKill(0);
+    std::atomic<bool> done{false};
+    std::uint64_t ok = 0;
+    std::thread submitter([&] {
+      while (!done.load(std::memory_order_relaxed))
+        if (eng.submit({frame, 0, {}})) ++ok;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    done.store(true, std::memory_order_relaxed);
+    submitter.join();
+    eng.stop();
+    const EngineStats s = eng.stats();
+    EXPECT_EQ(s.submitted, ok);
+    EXPECT_EQ(s.processed, ok);
+    EXPECT_TRUE(s.conserved());
+    EXPECT_EQ(s.rehomed, 0u);
+  }
 }
 
 TEST(IpsEngineTest, RehomesStreamsOfKilledWorker) {

@@ -115,6 +115,10 @@ confident = true
   EXPECT_DOUBLE_EQ(s->config.fixed_overhead_us, 70.0);
   EXPECT_TRUE(s->run_until_confident);
   EXPECT_NEAR(s->model.tWarm(), 156.1, 0.01);
+  // The profile selects its footprint shares along with its reload
+  // parameters: the TCP PCB makes the receive path stream-state heavy.
+  EXPECT_DOUBLE_EQ(s->model.shares().l1_stream, 0.56);
+  EXPECT_DOUBLE_EQ(s->model.shares().l2_stream, 0.26);
   EXPECT_EQ(s->streams.count(), 8u);
 }
 
@@ -231,7 +235,8 @@ TEST(ScenarioTest, RejectsWorkloadPolicyAndFlowValuesThatAbortARun) {
   // Each workload value would abort the run when its arrival processes are
   // built (a zero-rate stream, a batch or train shorter than one packet, a
   // train whose cars outlast its arrival period); a negative steal penalty
-  // schedules a completion before "now"; a flow fraction outside [0, 1] is
+  // schedules a completion before "now", and an infinite one never completes
+  // a stolen packet (the run ends "saturated"); a flow fraction outside [0, 1] is
   // a meaningless shedding rule. NaN fails too.
   expectRejectedNamingKey({
       {"[workload]\nrate_pkts_per_s = nan\n", "workload.rate_pkts_per_s"},
@@ -252,6 +257,8 @@ TEST(ScenarioTest, RejectsWorkloadPolicyAndFlowValuesThatAbortARun) {
       {"[policy]\nlocking = steal-affinity\nsteal_penalty_us = -1000\n",
        "policy.steal_penalty_us"},
       {"[policy]\nlocking = steal-affinity\nsteal_penalty_us = nan\n",
+       "policy.steal_penalty_us"},
+      {"[policy]\nlocking = steal-affinity\nsteal_penalty_us = inf\n",
        "policy.steal_penalty_us"},
       {"[flow]\nhigh_water = 1.5\n", "flow.high_water"},
       {"[flow]\nlow_water = -0.1\n", "flow.low_water"},
