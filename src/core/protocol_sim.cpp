@@ -95,10 +95,6 @@ bool ProtocolSim::usesLocking(std::uint32_t stream) const noexcept {
   return uses_locking_[stream] != 0;
 }
 
-std::uint32_t ProtocolSim::stackOf(std::uint32_t stream) const noexcept {
-  return stream % config_.effectiveStacks();
-}
-
 std::uint64_t ProtocolSim::backlogNow() const noexcept {
   return queued_count_ + (config_.num_procs - idle_count_);
 }
@@ -735,6 +731,11 @@ void ProtocolSim::exportRunMetrics(const RunMetrics& m) {
   reg.meanStat("sim.run.utilization").add(m.utilization);
   reg.meanStat("sim.run.mean_queue_len").add(m.mean_queue_len);
   reg.meanStat("sim.kernel.events_executed").add(static_cast<double>(sim_.executedCount()));
+  if (sim_.executedCount() > 0) {
+    reg.meanStat("sim.kernel.entries_scanned_per_event")
+        .add(static_cast<double>(sim_.entriesScanned()) /
+             static_cast<double>(sim_.executedCount()));
+  }
   reg.meanStat("sim.kernel.events_pending_end").add(static_cast<double>(sim_.pendingCount()));
   // The run's own accumulators, the ones RunMetrics is computed from.
   reg.counter("sim.packets.arrived").inc(m.arrived);

@@ -226,10 +226,8 @@ class ProtocolSim {
 
   // --- paradigm helpers ---
   [[nodiscard]] bool usesLocking(std::uint32_t stream) const noexcept;
-  [[nodiscard]] std::uint32_t stackOf(std::uint32_t stream) const noexcept;
 
   // --- dispatch ---
-  void onArrival(std::uint32_t stream);
   void arrivePacket(std::uint32_t stream);
   /// `extra_us` is added to the execution time (the steal penalty).
   void startService(unsigned proc, const Job& job, double extra_us = 0.0);
@@ -345,7 +343,6 @@ class ProtocolSim {
   std::uint64_t completed_ = 0;        ///< completions inside the window
   std::uint64_t completed_total_ = 0;  ///< all completions (conservation)
   std::uint64_t backlog_mid_ = 0;
-  bool mid_recorded_ = false;
   std::vector<OnlineStats> per_stream_delay_;
   bool ran_ = false;
 

@@ -184,10 +184,11 @@ Engine::Engine(unsigned workers, const EngineShape& shape, HostConfig host,
       pw.queue = std::make_unique<MpmcQueue<WorkItem>>(capacity);
     else if (shape.per_worker_queues)
       pw.ring = std::make_unique<SpscRing<WorkItem>>(capacity);
-    // Sized so a failover chain never overflows it: in the worst case every
-    // other worker's ring (plus its recovery backlog) is flushed into the
-    // last survivor's lane.
-    if (rehome_) pw.recovery = std::make_unique<MpmcQueue<WorkItem>>(2 * workers_ * capacity);
+    // Sized so a failover chain never overflows it: a lane only receives
+    // frames flushed from dead workers' queues, each worker is flushed once
+    // and each queue holds at most `capacity` frames, so even the last
+    // survivor's lane gets at most (workers - 1) * capacity of them.
+    if (rehome_) pw.recovery = std::make_unique<MpmcQueue<WorkItem>>(workers_ * capacity);
   }
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -138,26 +139,26 @@ class MpmcQueue {
   bool closed_ AFF_GUARDED_BY(mu_) = false;
 };
 
-/// Lock-free SPSC ring buffer (capacity rounded up to a power of two; one
-/// slot is sacrificed to distinguish full from empty).
+/// Lock-free SPSC ring buffer holding exactly `capacity` items. Head and
+/// tail run free (they only ever grow); the buffer is the next power of two
+/// at or above `capacity`, indexed by the low bits, and the ring is full
+/// when head - tail == capacity, so no slot is sacrificed.
 template <typename T>
 class SpscRing {
  public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity + 1) cap <<= 1;
-    buffer_.resize(cap);
-    mask_ = cap - 1;
+  explicit SpscRing(std::size_t capacity) : capacity_(capacity) {
+    AFF_CHECK(capacity >= 1);
+    buffer_.resize(std::bit_ceil(capacity));
+    mask_ = buffer_.size() - 1;
   }
 
   /// Producer side; false if full. On success `item` is moved from; on
   /// failure it is left intact (so callers can retry without copies).
   bool tryPush(T& item) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t next = (head + 1) & mask_;
-    if (next == tail_.load(std::memory_order_acquire)) return false;
-    buffer_[head] = std::move(item);
-    head_.store(next, std::memory_order_release);
+    if (head - tail_.load(std::memory_order_acquire) == capacity_) return false;
+    buffer_[head & mask_] = std::move(item);
+    head_.store(head + 1, std::memory_order_release);
     return true;
   }
 
@@ -165,8 +166,8 @@ class SpscRing {
   bool tryPop(T& out) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     if (tail == head_.load(std::memory_order_acquire)) return false;
-    out = std::move(buffer_[tail]);
-    tail_.store((tail + 1) & mask_, std::memory_order_release);
+    out = std::move(buffer_[tail & mask_]);
+    tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
@@ -177,8 +178,9 @@ class SpscRing {
  private:
   std::vector<T> buffer_;
   std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
+  std::size_t capacity_;
+  alignas(64) std::atomic<std::size_t> head_{0};  // next slot to write
+  alignas(64) std::atomic<std::size_t> tail_{0};  // next slot to read
 };
 
 }  // namespace affinity

@@ -69,6 +69,7 @@ bool Simulator::stepUntil(SimTime until) {
     // Overlap the callback-array fetch with the key scan: if this bucket
     // has the next event, its callback is about to be moved out.
     __builtin_prefetch(b.fns.data());
+    scanned_entries_ += b.size();
     const int best = minQualifying(b);
     if (best >= 0) {
       const auto i = static_cast<std::uint32_t>(best);
@@ -136,18 +137,30 @@ void Simulator::rebuild() {
       fns.push_back(std::move(b.fns[i]));
     }
   }
-  // Width: ~2 events per window on average, so a dequeue scans O(1) entries
-  // and an empty-window rotation is rare. Any value is *correct* (ordering
-  // is exact on (at, seq)); this only tunes scan lengths.
+  // Width: ~2 events per window among the events about to run, so a
+  // dequeue scans O(1) entries (Brown 1988 sizes the buckets from the
+  // separation of the next events). The span is taken over the earliest
+  // half of the pending events, not all of them: a run keeps a few control
+  // events (the warmup reset, the mid-window sample) hundreds of packet
+  // gaps ahead, and a width from the full span would put nearly every
+  // packet event into one window. Any value is *correct* (ordering is
+  // exact on (at, seq)); this only tunes scan lengths.
   double w = width_;
   if (keys.size() > 1) {
-    double lo = keys.front().at;
-    double hi = lo;
-    for (const Key& e : keys) {
-      lo = std::min(lo, e.at);
-      hi = std::max(hi, e.at);
+    std::vector<SimTime> times;
+    times.reserve(keys.size());
+    for (const Key& e : keys) times.push_back(e.at);
+    const std::size_t near = std::max<std::size_t>(2, times.size() / 2);
+    const auto near_end = times.begin() + static_cast<std::ptrdiff_t>(near);
+    std::nth_element(times.begin(), near_end - 1, times.end());
+    const SimTime lo = *std::min_element(times.begin(), near_end);
+    if (times[near - 1] > lo) {
+      w = (times[near - 1] - lo) * 2.0 / static_cast<double>(near);
+    } else {
+      // The near half is simultaneous: fall back to the whole span.
+      const SimTime hi = *std::max_element(near_end - 1, times.end());
+      if (hi > lo) w = (hi - lo) * 2.0 / static_cast<double>(times.size());
     }
-    if (hi > lo) w = (hi - lo) * 2.0 / static_cast<double>(keys.size());
   }
   if (!(w > 1e-9)) w = 1e-9;  // all-simultaneous events: keep windows finite
   // ~2 events per bucket: a handful of 24-byte scan entries share cache

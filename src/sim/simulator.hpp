@@ -19,9 +19,21 @@
 //     unsorted buckets, each covering a `width_`-µs window of the current
 //     "year". schedule() appends straight to the target bucket (O(1));
 //     dequeue scans the cursor bucket for the (time, seq)-minimum among
-//     entries whose assigned window has arrived. Bucket count and width
-//     retune from the live event population (on growth and on empty-year
-//     rotations), so both operations are O(1) amortized.
+//     entries whose assigned window has arrived. A rebuild (on growth and
+//     on repeated empty-year rotations) sizes the ring to the live
+//     population and takes the window width from the events about to run:
+//     2 x the time span of the earliest half of the pending events over
+//     their count, as Brown (CACM 31(10), 1988) sizes buckets from the
+//     separation of the next events. A few far-future control events (a
+//     ProtocolSim run's warmup reset and mid-window sample) therefore
+//     cannot widen every window. On perfbench's paper and shared-LLC
+//     halves a dequeue scans 3.2 and 3.8 entries per executed event,
+//     against 17.9 and 17.7 with a width from the full span
+//     (entriesScanned() / executedCount(); ProtocolSim publishes it as
+//     sim.kernel.entries_scanned_per_event). Two shapes still scan more:
+//     bursts served across several processors (their completions do not
+//     exist yet when the width is taken; 5-8 entries) and events sharing
+//     one timestamp, which no width separates (docs/MODEL.md §7).
 //   * Buckets are structure-of-arrays: the hot dequeue scan touches three
 //     dense parallel arrays (time, generation seq, assigned window — 24
 //     bytes per entry instead of a 32-byte key struct), while the cold
@@ -128,6 +140,11 @@ class Simulator {
 
   /// Total events executed so far.
   [[nodiscard]] std::uint64_t executedCount() const noexcept { return executed_; }
+
+  /// Bucket entries the dequeue scan has examined so far (every entry of
+  /// every bucket it visited, parked ones included). Divided by
+  /// executedCount() it is the kernel's scan cost per event.
+  [[nodiscard]] std::uint64_t entriesScanned() const noexcept { return scanned_entries_; }
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
@@ -243,8 +260,8 @@ class Simulator {
 
   void initBuckets(std::size_t nbuckets, double width);
   /// Re-buckets every pending event with a bucket count sized to the live
-  /// population and a width retuned to its time span. Called on growth and
-  /// on empty-year rotations (cheap and rare; amortized O(1) per event).
+  /// population and a width retuned to the span of its earliest half.
+  /// Called on growth and on repeated empty-year rotations.
   void rebuild();
 
   std::vector<Bucket> buckets_;
@@ -259,6 +276,7 @@ class Simulator {
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
+  std::uint64_t scanned_entries_ = 0;
 };
 
 }  // namespace affinity

@@ -19,6 +19,7 @@
 
 #include "bench/figures.hpp"
 #include "core/experiment.hpp"
+#include "obs/metrics.hpp"
 
 namespace affinity {
 namespace {
@@ -59,6 +60,21 @@ TEST(GoldenFigures, Fig6MruWiredCrossoverAbove40k) {
     golden::expectPinned("fig6", wired.mean_delay_us, 699.8590, "Wired delay at 42k");
     EXPECT_GT(mru.mean_delay_us, 10.0 * wired.mean_delay_us);
   }
+}
+
+// Not a pinned cell but a cost bound on the same run: at a Fig 6 paper
+// point the event kernel's dequeue scans at most 4 entries per executed
+// event. The run's far-ahead control events (warmup reset, mid-window
+// sample) must not widen the calendar's windows (docs/MODEL.md §7).
+TEST(GoldenFigures, Fig6PointDequeueScansFewEntriesPerEvent) {
+  obs::MetricsRegistry reg;
+  bench::FigureParams params;
+  params.metrics = &reg;
+  const FigureDef fig = bench::fig06LockingDelay(params);
+  (void)runCell(fig, ExecTimeModel::standard(), rowOf(fig, 0.012), "MRU");
+  const obs::MeanStat& scan = reg.meanStat("sim.kernel.entries_scanned_per_event");
+  ASSERT_EQ(scan.count(), 1u);
+  EXPECT_LE(scan.mean(), 4.0);
 }
 
 // Figure 8 (IPS): at very light load (1k pkts/s) MRU — concentrating all

@@ -90,17 +90,37 @@ TEST(SpscRing, FifoAndCapacity) {
     int item = i;
     EXPECT_TRUE(r.tryPush(item));
   }
-  // May hold >=4 (rounded up), but is finite.
+  // Holds exactly its capacity.
   int extra = 100;
-  int pushed = 0;
-  while (pushed < 100) {
-    int item = extra;
-    if (!r.tryPush(item)) break;
-    ++pushed;
-  }
-  EXPECT_LT(pushed, 100);
+  EXPECT_FALSE(r.tryPush(extra));
   EXPECT_TRUE(r.tryPop(v));
   EXPECT_EQ(v, 0);
+  // One pop makes room for exactly one push, across the buffer's wrap.
+  EXPECT_TRUE(r.tryPush(extra));
+  EXPECT_FALSE(r.tryPush(extra));
+  for (int want : {1, 2, 3, 100}) {
+    EXPECT_TRUE(r.tryPop(v));
+    EXPECT_EQ(v, want);
+  }
+  EXPECT_FALSE(r.tryPop(v));
+}
+
+TEST(SpscRing, NonPowerOfTwoCapacityIsExact) {
+  SpscRing<int> r(3);
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      int item = round * 3 + i;
+      EXPECT_TRUE(r.tryPush(item));
+    }
+    int extra = -1;
+    EXPECT_FALSE(r.tryPush(extra));
+    int v = 0;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_TRUE(r.tryPop(v));
+      EXPECT_EQ(v, round * 3 + i);
+    }
+    EXPECT_TRUE(r.empty());
+  }
 }
 
 TEST(SpscRing, FailedPushLeavesItemIntact) {

@@ -4,10 +4,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <initializer_list>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
+#include "obs/metrics.hpp"
 #include "util/config.hpp"
 
 namespace affinity {
@@ -316,7 +319,10 @@ TEST(ScenarioTest, RejectsMissingTraceFile) {
 // default sim scenario here; churn_storm.ini exercises the bounded flow
 // table end to end). The soak tier extends the same sweep to serial vs
 // parallel shards (determinism_test.cpp, GoldenSeed.ParallelMatchesSerial);
-// this one stays sub-second so it rides the inner loop.
+// this one stays sub-second so it rides the inner loop. Each run also
+// reads the event kernel's dequeue scan cost, bounded at 4 entries per
+// executed event (docs/MODEL.md §7) except where bursts are spread over
+// processors.
 TEST(ScenarioTest, ShippedScenariosRerunBitIdentically) {
   namespace fs = std::filesystem;
   std::vector<fs::path> files;
@@ -325,6 +331,12 @@ TEST(ScenarioTest, ShippedScenariosRerunBitIdentically) {
   }
   std::sort(files.begin(), files.end());
   ASSERT_FALSE(files.empty());
+  // Bursts served across several processors: each burst schedules a dense
+  // run of completions that the calendar's one width, taken from the
+  // pending events before they exist, does not see. These read 4.6-7.2
+  // entries per event here (ROADMAP item 12).
+  const std::set<std::string> burst_spread{"adaptive_media_server.ini", "rss_media_server.ini",
+                                           "tfn_media_server.ini"};
   for (const auto& path : files) {
     SCOPED_TRACE(path.filename().string());
     std::string error;
@@ -337,8 +349,15 @@ TEST(ScenarioTest, ShippedScenariosRerunBitIdentically) {
     sc->config.warmup_us = std::min(sc->config.warmup_us, 2'000.0);
     sc->config.measure_us = std::min(sc->config.measure_us, 20'000.0);
     sc->config.parallel_procs = 0;
+    // Both runs publish to a registry, so they also pin the kernel's scan
+    // cost on every configuration the repo ships.
+    obs::MetricsRegistry reg;
+    sc->config.metrics = &reg;
     const RunMetrics a = runOnce(sc->config, sc->model, sc->streams);
     const RunMetrics b = runOnce(sc->config, sc->model, sc->streams);
+    const obs::MeanStat& scan = reg.meanStat("sim.kernel.entries_scanned_per_event");
+    EXPECT_EQ(scan.count(), 2u);
+    EXPECT_LE(scan.max(), burst_spread.contains(path.filename().string()) ? 8.0 : 4.0);
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.arrived, b.arrived);
     EXPECT_EQ(a.mean_delay_us, b.mean_delay_us);

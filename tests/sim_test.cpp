@@ -2,10 +2,12 @@
 // horizons, and re-entrant scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -340,6 +342,37 @@ TEST(Simulator, EpochRolloverWithStagedCohort) {
   EXPECT_TRUE(monotone);
   EXPECT_EQ(executed_in_order, 144u);
   EXPECT_DOUBLE_EQ(sim.now(), 100'000.0 + 0.25 * 47);
+}
+
+TEST(Simulator, FarFutureEventsDoNotWidenTheNearWindows) {
+  // A ProtocolSim run's shape: a population of near events that reschedule
+  // themselves (packet arrivals and completions, mean gap 100 µs each) plus
+  // a couple of control events ~10^3 gaps ahead. The window width must come
+  // from the near events, so a dequeue scans a few entries per event; a
+  // width from the whole span puts every near event in one window (~25).
+  Simulator sim;
+  Rng rng(5);
+  constexpr double kMeanGap = 100.0;
+  std::uint64_t next_id = 0;
+  std::vector<std::pair<double, std::uint64_t>> order;  // (time, schedule order)
+  order.reserve(100'000);
+  std::function<void(double)> near = [&](double at) {
+    sim.schedule(at, [&, id = next_id++] {
+      order.emplace_back(sim.now(), id);
+      near(sim.now() + rng.exponential(1.0 / kMeanGap));
+    });
+  };
+  for (int i = 0; i < 24; ++i) near(rng.exponential(1.0 / kMeanGap));
+  for (double far : {1.0e5, 1.35e5})
+    sim.schedule(far, [&, id = next_id++] { order.emplace_back(sim.now(), id); });
+
+  for (int i = 0; i < 100'000; ++i) ASSERT_TRUE(sim.step());
+  ASSERT_EQ(order.size(), 100'000u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));  // by (time, seq)
+  EXPECT_GT(order.back().first, 1.35e5);  // both far events ran in between
+  const double per_event =
+      static_cast<double>(sim.entriesScanned()) / static_cast<double>(sim.executedCount());
+  EXPECT_LE(per_event, 4.0);
 }
 
 TEST(Simulator, ManyEventsStressOrdering) {
